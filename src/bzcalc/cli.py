@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,10 +21,6 @@ EXIT_DOMAIN = 1
 EXIT_VIOLATION = 2
 
 DEFAULT_Q_LIST = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-
-
-def _max_n() -> int:
-    return int(os.environ.get("BZ_MAX_N", dims.DEFAULT_MAX_N))
 
 
 def _load_json(source: str):
@@ -47,6 +42,9 @@ def _load_json(source: str):
             f"malformed JSON in {origin} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-from-str digit limit
+        raise DomainError(f"malformed JSON in {origin}: {exc}") from exc
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -58,7 +56,27 @@ def _emit(doc: dict, output: str | None) -> None:
 
 
 def _parse_q(value: str) -> dims.PrimePower:
-    return dims.PrimePower.from_q(int(value))
+    try:
+        q = int(value)
+    except ValueError as exc:
+        raise DomainError(f"bad q value {value!r}: not an integer") from exc
+    return dims.PrimePower.from_q(q)
+
+
+def _decimal(x: int) -> str:
+    """str(x), with Python's int-to-str digit limit lifted for this call only.
+
+    Exact results can run past the default limit of 4300 digits.  Interpreters
+    older than 3.10.7 have no limit and no setter.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -118,14 +136,20 @@ def cmd_dims(args) -> int:
     if "multisegment" not in doc or "q" not in doc:
         raise DomainError('dims input needs "multisegment" and "q" keys')
     s = seg.multisegment_from_json(doc["multisegment"])
-    q = dims.PrimePower(int(doc["q"]["p"]), int(doc["q"]["f"]))
+    try:
+        p, f = int(doc["q"]["p"]), int(doc["q"]["f"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc
+    q = dims.PrimePower(p, f)
+    if not len(s):
+        raise DomainError("empty multisegment has no ambient GL_n")
     comp = dims.Composition(g.length for g in seg.admissible_order(s))
     dim = dims.standard_module_k1_dim(s, q)
     _emit(
         {
             "q": {"p": q.p, "f": q.f},
-            "flag_count": str(dims.gaussian_flag_count(comp, q)),
-            "k1_dim": str(dim),
+            "flag_count": _decimal(dims.gaussian_flag_count(comp, q)),
+            "k1_dim": _decimal(dim),
             "valuation_statistic": dims.valuation_statistic(dim, q),
         },
         args.output,
@@ -135,8 +159,9 @@ def cmd_dims(args) -> int:
 
 def cmd_identity_check(args) -> int:
     n_max = args.n_max
-    if n_max > _max_n():
-        raise DomainError(f"n_max {n_max} exceeds bound {_max_n()}")
+    bound = dims._alternating_sum_bound()
+    if n_max > bound:
+        raise DomainError(f"n_max {n_max} exceeds bound {bound}")
     qs = [_parse_q(v) for v in args.q.split(",")] if args.q else [
         dims.PrimePower.from_q(v) for v in DEFAULT_Q_LIST
     ]
@@ -152,8 +177,8 @@ def cmd_identity_check(args) -> int:
                 {
                     "n": n,
                     "q": q.q,
-                    "alternating_sum": str(lhs),
-                    "steinberg_dim": str(rhs),
+                    "alternating_sum": _decimal(lhs),
+                    "steinberg_dim": _decimal(rhs),
                     "pass": match,
                 }
             )
@@ -164,9 +189,9 @@ def cmd_identity_check(args) -> int:
 def cmd_wd(args) -> int:
     s = seg.multisegment_from_json(_load_json(args.input))
     shadow = wd.wd_from_multisegment(s)
-    count = wd.nonzero_count_exp(shadow.partition)
-    closed = wd.partition_statistic(shadow.partition)
     mat = wd.exp_nilpotent(shadow.partition)
+    count = wd.nonzero_count(mat)
+    closed = wd.partition_statistic(shadow.partition)
     _emit(
         {
             "shadow": wd.wd_to_json(shadow),

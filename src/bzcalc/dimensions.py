@@ -18,7 +18,12 @@ DEFAULT_MAX_N = 12
 
 
 def _alternating_sum_bound() -> int:
-    return int(os.environ.get("BZ_MAX_N", DEFAULT_MAX_N))
+    """The largest n for parabolic_alternating_sum: BZ_MAX_N, or DEFAULT_MAX_N."""
+    value = os.environ.get("BZ_MAX_N", DEFAULT_MAX_N)
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise DomainError(f"BZ_MAX_N must be an integer, got {value!r}") from exc
 
 
 def _is_prime(n: int) -> bool:

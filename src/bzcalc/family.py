@@ -640,6 +640,12 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
 
 def scenario_from_json(doc: dict) -> FamilyScenario:
+    def _indexed(block: dict) -> dict[int, dict[str, int]]:
+        return {
+            int(i): {x: int(v) for x, v in per_point.items()}
+            for i, per_point in block.items()
+        }
+
     try:
         fields = tuple(PrimePower(int(e["p"]), int(e["f"])) for e in doc["fields"])
         site = FiniteSite.of(doc["points"], doc["closed_sets"])
@@ -650,15 +656,11 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
             for x, per_field in doc["assignment"].items()
         }
         seeds = {k: int(v) for k, v in doc["unit_seeds"].items()}
-    except (KeyError, TypeError) as exc:
+        declared = doc.get("declared", {})
+        type_traces = _indexed(declared.get("type_traces", {}))
+        ratio_valuations = _indexed(declared.get("ratio_valuations", {}))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed scenario: {exc}") from exc
-    declared = doc.get("declared", {})
-
-    def _indexed(block: dict) -> dict[int, dict[str, int]]:
-        return {
-            int(i): {x: int(v) for x, v in per_point.items()}
-            for i, per_point in block.items()
-        }
 
     return FamilyScenario(
         fields=fields,
@@ -666,8 +668,8 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
         sigma=sigma,
         assignment=assignment,
         unit_seeds=seeds,
-        declared_type_traces=_indexed(declared.get("type_traces", {})),
-        declared_ratio_valuations=_indexed(declared.get("ratio_valuations", {})),
+        declared_type_traces=type_traces,
+        declared_ratio_valuations=ratio_valuations,
     )
 
 

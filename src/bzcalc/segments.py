@@ -291,7 +291,7 @@ def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
                 block_size=int(entry.get("block_size", 1)),
                 inertial_label=entry.get("inertial_label"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad line declaration {entry!r}: {exc}") from exc
         if line.line_id in table and table[line.line_id] != line:
             raise DomainError(f"conflicting declarations for line {line.line_id!r}")
@@ -314,7 +314,7 @@ def multisegment_from_json(
                 start=int(entry["start"]),
                 length=int(entry["len"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad segment {entry!r}: {exc}") from exc
         segs.append(seg)
     return Multisegment(segs)

@@ -16,6 +16,7 @@ from .exceptions import DomainError
 from .segments import Multisegment
 
 DEFAULT_EXP_BOUND = 64
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -130,41 +131,57 @@ def nilpotent_matrix(p: JordanPartition) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(row) for row in rows))
 
 
+def _times_nilpotent(rows: list[list[Fraction]], p: JordanPartition) -> list[list[Fraction]]:
+    """rows @ N for N in Jordan form: within each block, column j + 1 takes
+    column j and the block's first column becomes zero."""
+    out = []
+    for row in rows:
+        shifted = [_ZERO] * len(row)
+        offset = 0
+        for size in p.blocks:
+            shifted[offset + 1 : offset + size] = row[offset : offset + size - 1]
+            offset += size
+        out.append(shifted)
+    return out
+
+
 def exp_nilpotent(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> RationalMatrix:
-    """Exact exp(N) = sum_{k < n} N^k / k!; asserts nilpotency N^n = 0."""
+    """Exact exp(N) = sum_{k < n} N^k / k!, summed term by term.
+
+    Each power N^k is N^(k-1) @ N, done as a column shift inside each Jordan
+    block, so a term costs O(n^2).  Raises ArithmeticError unless N^n = 0.
+    """
     n = p.n
     if n > max_size:
         raise DomainError(f"partition size {n} exceeds bound {max_size}")
-    nmat = nilpotent_matrix(p)
-    acc = RationalMatrix.identity(n)
-    power = RationalMatrix.identity(n)
+    acc = [list(row) for row in RationalMatrix.identity(n).entries]
+    power = [list(row) for row in acc]
     fact = 1
     for k in range(1, n):
-        power = power @ nmat
+        power = _times_nilpotent(power, p)
         fact *= k
-        acc = RationalMatrix(
-            tuple(
-                tuple(
-                    acc.entries[i][j] + power.entries[i][j] / fact
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-    assert (power @ nmat).is_zero(), "N^n must vanish"
-    return acc
+        for acc_row, power_row in zip(acc, power):
+            for j, x in enumerate(power_row):
+                if x:
+                    acc_row[j] += x / fact
+    if any(any(row) for row in _times_nilpotent(power, p)):
+        raise ArithmeticError(f"N^{n} does not vanish for blocks {p.blocks}")
+    return RationalMatrix(tuple(tuple(row) for row in acc))
+
+
+def nonzero_count(mat: RationalMatrix) -> int:
+    """Number of nonzero entries of mat - id."""
+    return sum(
+        1
+        for i, row in enumerate(mat.entries)
+        for j, x in enumerate(row)
+        if x != (1 if i == j else 0)
+    )
 
 
 def nonzero_count_exp(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> int:
     """Number of nonzero entries of exp(N) - id, counted from the exact matrix."""
-    mat = exp_nilpotent(p, max_size=max_size)
-    n = p.n
-    return sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if mat.entries[i][j] != (1 if i == j else 0)
-    )
+    return nonzero_count(exp_nilpotent(p, max_size=max_size))
 
 
 def partition_statistic(p: JordanPartition) -> int:

@@ -138,7 +138,7 @@ def test_criterion_6_exp_count():
         for blocks in _partitions(n):
             p = JordanPartition(blocks)
             # nonzero_count_exp counts entries of the exact series matrix and
-            # asserts N^n = 0 internally
+            # checks N^n = 0 internally
             assert nonzero_count_exp(p) == partition_statistic(p)
     _report("6 exp(N) nonzero count, partitions of n <= 10", time.perf_counter() - start, 5)
 

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,84 @@ class TestDims:
         assert status == 1
 
 
+    def test_empty_multisegment(self, capsys):
+        doc_in = json.dumps({"multisegment": {"segments": []}, "q": {"p": 2, "f": 1}})
+        status = main(["dims", doc_in])
+        assert status == 1
+        assert capsys.readouterr().err == "error: empty multisegment has no ambient GL_n\n"
+
+
+def _int_str_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+class TestLongIntegers:
+    """Results past Python's int-to-str digit limit (4300 by default)."""
+
+    def _parse(self, digits):
+        limit = _int_str_limit()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return int(digits)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_dims(self, capsys):
+        doc_in = json.dumps(
+            {
+                "multisegment": {"segments": [{"line": "unr", "start": 0, "len": 40}]},
+                "q": {"p": 10007, "f": 3},
+            }
+        )
+        limit = _int_str_limit()
+        status, doc = run_cli(capsys, "dims", doc_in)
+        assert status == 0
+        assert _int_str_limit() == limit
+        # one segment: flag count 1, dimension q^(40*39/2)
+        assert doc["flag_count"] == "1"
+        assert len(doc["k1_dim"]) > 4300
+        assert self._parse(doc["k1_dim"]) == 10007 ** (3 * 780)
+        assert doc["valuation_statistic"] == 780
+
+    def test_identity_check(self, capsys):
+        q = 2**220
+        status, doc = run_cli(capsys, "identity-check", "--n-max", "12", "--q", str(q))
+        assert status == 0
+        row = doc["rows"][-1]
+        assert row["n"] == 12
+        assert len(row["steinberg_dim"]) > 4300
+        assert self._parse(row["steinberg_dim"]) == q**66
+        assert self._parse(row["alternating_sum"]) == q**66
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["seg", '{"segments": [{"line": "unr", "start": "x", "len": 1}]}'], {}),
+            (["identity-check", "--q", "abc"], {}),
+            (
+                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": "abc", "f": 1}})],
+                {},
+            ),
+            (["identity-check", "--n-max", "3"], {"BZ_MAX_N": "x"}),
+            (["seg", '{"segments": [{"line": "unr", "start": ' + "1" * 5000 + ', "len": 1}]}'], {}),
+        ],
+        ids=["segment-start", "identity-check-q", "dims-q-p", "bz-max-n", "huge-literal"],
+    )
+    def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestIdentityCheck:
     def test_small_sweep(self, capsys):
         status, doc = run_cli(capsys, "identity-check", "--n-max", "3", "--q", "2")
@@ -249,3 +332,68 @@ class TestSelftest:
         assert status == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 4
+
+
+def _readme_scenario():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Scenario documents"):]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+
+
+class TestReadmeScenario:
+    def test_documented_example_runs(self, capsys):
+        status, report = run_cli(capsys, "family", _readme_scenario(), "a")
+        assert status == 2
+        assert report["X0"] == ["a", "b", "c"]
+        bad = [v["point"] for v in report["verdicts"] if v["status"] == "violation"]
+        assert bad == ["c"]
+
+    def test_without_declared_block(self, capsys):
+        doc = json.loads(_readme_scenario())
+        del doc["declared"]
+        status, report = run_cli(capsys, "family", json.dumps(doc), "a")
+        assert status == 0
+        assert report["X0"] == ["a", "b"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=120
+    )
+
+
+class TestOptimizedInterpreter:
+    """python -O strips asserts; the results and the checks must not change."""
+
+    WD_INPUT = json.dumps(
+        {
+            "lines": [{"line_id": "A", "block_size": 2, "inertial_label": "ram"}],
+            "segments": [
+                {"line": "unr", "start": 0, "len": 4},
+                {"line": "unr", "start": 2, "len": 3},
+                {"line": "A", "start": 0, "len": 2},
+            ],
+        }
+    )
+
+    @pytest.mark.parametrize("argv", [["wd", WD_INPUT], ["selftest"]], ids=["wd", "selftest"])
+    def test_same_bytes_under_O(self, argv):
+        plain = _python("-m", "bzcalc.cli", *argv)
+        optimized = _python("-O", "-m", "bzcalc.cli", *argv)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert plain.stdout and optimized.stdout == plain.stdout
+
+    def test_nilpotency_check_survives_O(self):
+        code = (
+            "import bzcalc.weildeligne as w\n"
+            "w._times_nilpotent = lambda rows, p: rows\n"
+            "w.exp_nilpotent(w.JordanPartition((2,)))\n"
+        )
+        proc = _python("-O", "-c", code)
+        assert proc.returncode != 0
+        assert b"ArithmeticError: N^2 does not vanish" in proc.stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,32 @@ class TestExpNilpotent:
     def test_size_bound(self):
         with pytest.raises(DomainError):
             exp_nilpotent(JordanPartition((65,)))
+
+
+def _dense_exp(p):
+    """sum_{k < n} N^k / k! from dense products of nilpotent_matrix."""
+    n = p.n
+    nmat = nilpotent_matrix(p)
+    acc = [list(row) for row in RationalMatrix.identity(n).entries]
+    power = RationalMatrix.identity(n)
+    for k in range(1, n):
+        power = power @ nmat
+        for i in range(n):
+            for j in range(n):
+                acc[i][j] += power.entries[i][j] / math.factorial(k)
+    assert (power @ nmat).is_zero()
+    return acc
+
+
+class TestExpOracle:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_dense_series(self, n):
+        for blocks in partitions(n):
+            p = JordanPartition(blocks)
+            mat = exp_nilpotent(p)
+            assert mat.size == n
+            assert [list(row) for row in mat.entries] == _dense_exp(p)
+            assert all(isinstance(x, Fraction) for row in mat.entries for x in row)
 
 
 class TestNonzeroCount:
