@@ -63,22 +63,6 @@ def _parse_q(value: str) -> dims.PrimePower:
     return dims.PrimePower.from_q(q)
 
 
-def _decimal(x: int) -> str:
-    """str(x), with Python's int-to-str digit limit lifted for this call only.
-
-    Exact results can run past the default limit of 4300 digits.  Interpreters
-    older than 3.10.7 have no limit and no setter.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(x)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -132,12 +116,13 @@ def cmd_seg(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    doc = _load_json(args.input)
+    doc = seg._json_typed(_load_json(args.input), dict, "dims input")
     if "multisegment" not in doc or "q" not in doc:
         raise DomainError('dims input needs "multisegment" and "q" keys')
     s = seg.multisegment_from_json(doc["multisegment"])
     try:
-        p, f = int(doc["q"]["p"]), int(doc["q"]["f"])
+        q_doc = seg._json_typed(doc["q"], dict, '"q"')
+        p, f = seg._json_int(q_doc["p"], "p"), seg._json_int(q_doc["f"], "f")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc
     q = dims.PrimePower(p, f)
@@ -148,8 +133,8 @@ def cmd_dims(args) -> int:
     _emit(
         {
             "q": {"p": q.p, "f": q.f},
-            "flag_count": _decimal(dims.gaussian_flag_count(comp, q)),
-            "k1_dim": _decimal(dim),
+            "flag_count": dims._decimal(dims.gaussian_flag_count(comp, q)),
+            "k1_dim": dims._decimal(dim),
             "valuation_statistic": dims.valuation_statistic(dim, q),
         },
         args.output,
@@ -177,8 +162,8 @@ def cmd_identity_check(args) -> int:
                 {
                     "n": n,
                     "q": q.q,
-                    "alternating_sum": _decimal(lhs),
-                    "steinberg_dim": _decimal(rhs),
+                    "alternating_sum": dims._decimal(lhs),
+                    "steinberg_dim": dims._decimal(rhs),
                     "pass": match,
                 }
             )

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,6 +25,22 @@ def _alternating_sum_bound() -> int:
         return int(value)
     except ValueError as exc:
         raise DomainError(f"BZ_MAX_N must be an integer, got {value!r}") from exc
+
+
+def _decimal(x: int) -> str:
+    """str(x), with Python's int-to-str digit limit lifted for this call only.
+
+    Exact results can run past the default limit of 4300 digits.  Interpreters
+    older than 3.10.7 have no limit and no setter.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _is_prime(n: int) -> bool:

@@ -17,13 +17,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .exceptions import DomainError, ModelViolation
 from .segments import (
     CuspidalLine,
     Multisegment,
     Segment,
+    _json_int,
+    _json_typed,
     leq,
     lines_from_json,
     multisegment_from_json,
@@ -33,7 +35,7 @@ from .segments import (
     twist_orbit,
     twist_orbit_equal,
 )
-from .dimensions import PrimePower, vp
+from .dimensions import PrimePower, _decimal, vp
 from .weildeligne import monodromy_weight
 
 UNRAMIFIED_LABEL = "unr"
@@ -376,10 +378,6 @@ def scenario_violations(sc: FamilyScenario) -> list[str]:
     return problems
 
 
-def validate_scenario(sc: FamilyScenario) -> bool:
-    return not scenario_violations(sc)
-
-
 def _trivializing_degree(sc: FamilyScenario, j: int) -> int:
     """Degree of the single collapsed base-change step for field slot j:
     the lcm of all block sizes occurring in that slot."""
@@ -436,8 +434,8 @@ def ratio_valuation(
                 "point": x,
                 "field": j,
                 "q_prime": {"p": qprime.p, "f": qprime.f},
-                "t_prime": str(t_prime),
-                "t_second": str(t_second),
+                "t_prime": _decimal(t_prime),
+                "t_second": _decimal(t_second),
                 "valuation": result,
             }
         )
@@ -491,20 +489,28 @@ def _orbit_tuple(s: Multisegment) -> tuple[tuple[str, int, int], ...]:
 
 
 def _certify_point(
-    sc: FamilyScenario, x0: str, x: str, used_traces: dict, log: list
+    sc: FamilyScenario,
+    x0: str,
+    x: str,
+    used_traces: Mapping[tuple[str, int], tuple[int, int]],
+    witnesses: Mapping[tuple[str, int], Multisegment | None],
+    valuation: Callable[[str, int], int],
 ) -> dict:
-    """Recompute every trace at x from the assignments and compare against the
+    """Compare the traces computed at x from the assignments against the
     values used to build the locus; any mismatch, or a comparable point with
-    equal valuation but a different twist orbit, is a violation."""
+    equal valuation but a different twist orbit, is a violation.
+
+    witnesses holds the twist witness of every (point, slot) and valuation
+    gives the ratio valuation of one, as computed by run_pipeline."""
     problems = []
     details = []
     for i in range(len(sc.fields)):
         s0 = sc.assignment[x0][i]
         s = sc.assignment[x][i]
-        witness = twist_comparison_witness(s0, s)
+        witness = witnesses[(x, i)]
         computed_t = 1 if witness is not None else 0
-        computed_rv = ratio_valuation(sc, x, i, log)
-        rv_x0 = ratio_valuation(sc, x0, i, log)
+        computed_rv = valuation(x, i)
+        rv_x0 = valuation(x0, i)
         used_t, used_rv = used_traces[(x, i)]
         entry = {
             "field": i,
@@ -569,6 +575,11 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     Step 1 intersects the clopen constancy loci of the per-field type traces;
     step 2 shrinks further by constancy of the per-field ratio valuations.
     Every surviving dense point is then certified or flagged.
+
+    Each twist witness and each ratio valuation is computed at most once per
+    (point, slot) in one run.  A valuation that is looked up again appends a
+    shallow copy of its first trace_log entry, so the log lists every lookup
+    as if each had been computed.
     """
     problems = scenario_violations(sc)
     if problems:
@@ -582,13 +593,26 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     used_traces: dict[tuple[str, int], list] = {
         (x, i): [None, None] for x in sc.sigma for i in range(nf)
     }
+    witnesses: dict[tuple[str, int], Multisegment | None] = {}
+    valuations: dict[tuple[str, int], tuple[int, dict]] = {}
+
+    def valuation(x: str, j: int) -> int:
+        known = valuations.get((x, j))
+        if known is not None:
+            log.append(dict(known[1]))
+            return known[0]
+        value = ratio_valuation(sc, x, j, log)
+        valuations[(x, j)] = (value, log[-1])
+        return value
 
     locus = sc.site.points
     for i in range(nf):
         declared = sc.declared_type_traces.get(i, {})
         sigma_vals = {}
         for x in sorted(sc.sigma):
-            computed = type_trace(s0s[i], sc.assignment[x][i])
+            witness = twist_comparison_witness(s0s[i], sc.assignment[x][i])
+            witnesses[(x, i)] = witness
+            computed = 1 if witness is not None else 0
             value = declared.get(x, computed)
             sigma_vals[x] = value
             used_traces[(x, i)][0] = value
@@ -611,7 +635,7 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
         declared = sc.declared_ratio_valuations.get(j, {})
         sigma_vals = {}
         for x in sorted(locus & sc.sigma):
-            computed = ratio_valuation(sc, x, j, log)
+            computed = valuation(x, j)
             value = declared.get(x, computed)
             sigma_vals[x] = value
             used_traces[(x, j)][1] = value
@@ -620,10 +644,9 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
         )
         locus = clopen_locus(trace, x0)
 
+    used = {k: tuple(v) for k, v in used_traces.items()}
     verdicts = tuple(
-        _certify_point(
-            sc, x0, x, {k: tuple(v) for k, v in used_traces.items()}, log
-        )
+        _certify_point(sc, x0, x, used, witnesses, valuation)
         for x in sorted(locus & sc.sigma)
     )
     return RigidityReport(
@@ -639,26 +662,57 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 # --- JSON form ---------------------------------------------------------------
 
 
+def _names(value, name: str) -> list[str]:
+    """A JSON array of point names."""
+    for x in _json_typed(value, list, name):
+        _json_typed(x, str, f"a point in {name}")
+    return value
+
+
 def scenario_from_json(doc: dict) -> FamilyScenario:
-    def _indexed(block: dict) -> dict[int, dict[str, int]]:
+    def _indexed(block: dict, name: str) -> dict[int, dict[str, int]]:
         return {
-            int(i): {x: int(v) for x, v in per_point.items()}
-            for i, per_point in block.items()
+            _json_int(i, f"{name} index"): {
+                x: _json_int(v, f"{name} value")
+                for x, v in _json_typed(per_point, dict, f"{name} {i}").items()
+            }
+            for i, per_point in _json_typed(block, dict, name).items()
         }
 
+    def _field(e: dict) -> PrimePower:
+        _json_typed(e, dict, "a field")
+        return PrimePower(_json_int(e["p"], "p"), _json_int(e["f"], "f"))
+
+    _json_typed(doc, dict, "a scenario")
     try:
-        fields = tuple(PrimePower(int(e["p"]), int(e["f"])) for e in doc["fields"])
-        site = FiniteSite.of(doc["points"], doc["closed_sets"])
-        sigma = frozenset(doc["sigma"])
+        fields = tuple(
+            _field(e) for e in _json_typed(doc["fields"], list, '"fields"')
+        )
+        site = FiniteSite.of(
+            _names(doc["points"], '"points"'),
+            (
+                _names(c, "a closed set")
+                for c in _json_typed(doc["closed_sets"], list, '"closed_sets"')
+            ),
+        )
+        sigma = frozenset(_names(doc["sigma"], '"sigma"'))
         lines = lines_from_json(doc.get("lines", []))
         assignment = {
-            x: tuple(multisegment_from_json(m, lines) for m in per_field)
-            for x, per_field in doc["assignment"].items()
+            x: tuple(
+                multisegment_from_json(m, lines)
+                for m in _json_typed(per_field, list, f"assignment {x!r}")
+            )
+            for x, per_field in _json_typed(doc["assignment"], dict, '"assignment"').items()
         }
-        seeds = {k: int(v) for k, v in doc["unit_seeds"].items()}
-        declared = doc.get("declared", {})
-        type_traces = _indexed(declared.get("type_traces", {}))
-        ratio_valuations = _indexed(declared.get("ratio_valuations", {}))
+        seeds = {
+            k: _json_int(v, f"unit seed {k!r}")
+            for k, v in _json_typed(doc["unit_seeds"], dict, '"unit_seeds"').items()
+        }
+        declared = _json_typed(doc.get("declared", {}), dict, '"declared"')
+        type_traces = _indexed(declared.get("type_traces", {}), "type_traces")
+        ratio_valuations = _indexed(
+            declared.get("ratio_valuations", {}), "ratio_valuations"
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed scenario: {exc}") from exc
 

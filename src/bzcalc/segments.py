@@ -102,10 +102,6 @@ class Multisegment:
         return tuple(seg.length for seg in admissible_order(self))
 
 
-# The support bag: (line, coset, position) with multiplicity.
-SupportMultiset = Counter
-
-
 def is_linked(a: Segment, b: Segment) -> bool:
     """True iff neither interval contains the other and their union is an interval.
 
@@ -147,8 +143,9 @@ def admissible_order(s: Multisegment) -> tuple[Segment, ...]:
     )
 
 
-def support(s: Multisegment) -> SupportMultiset:
-    """Bag union of all segments' point sets, with multiplicity."""
+def support(s: Multisegment) -> Counter:
+    """Bag union of all segments' point sets: (line, coset, position) with
+    multiplicity."""
     bag: Counter = Counter()
     for seg in s:
         for key in seg.point_keys():
@@ -282,14 +279,38 @@ def twist_orbit_equal(s: Multisegment, t: Multisegment) -> bool:
 # line id as inertial label.
 
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_typed(value, kind: type, name: str):
+    """value, if it is a JSON value of the given kind (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _json_int(value, name: str) -> int:
+    """int(value) for a number read from JSON.
+
+    Rejects booleans and floats, which int() would accept or truncate.
+    """
+    if isinstance(value, (bool, float)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
     table: dict[str, CuspidalLine] = {}
-    for entry in doc:
+    for entry in _json_typed(doc, list, '"lines"'):
+        _json_typed(entry, dict, "a line declaration")
         try:
+            label = entry.get("inertial_label")
             line = CuspidalLine(
-                line_id=entry["line_id"],
-                block_size=int(entry.get("block_size", 1)),
-                inertial_label=entry.get("inertial_label"),
+                line_id=_json_typed(entry["line_id"], str, "line_id"),
+                block_size=_json_int(entry.get("block_size", 1), "block_size"),
+                inertial_label=(
+                    None if label is None else _json_typed(label, str, "inertial_label")
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad line declaration {entry!r}: {exc}") from exc
@@ -302,17 +323,19 @@ def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
 def multisegment_from_json(
     doc: dict, lines: Mapping[str, CuspidalLine] | None = None
 ) -> Multisegment:
+    _json_typed(doc, dict, "a multisegment")
     table = dict(lines) if lines else {}
     table.update(lines_from_json(doc.get("lines", [])))
     segs = []
-    for entry in doc.get("segments", []):
+    for entry in _json_typed(doc.get("segments", []), list, '"segments"'):
+        _json_typed(entry, dict, "a segment")
         try:
-            line_id = entry["line"]
+            line_id = _json_typed(entry["line"], str, "line")
             seg = Segment(
                 line=table.get(line_id, CuspidalLine(line_id)),
-                coset=entry.get("coset", "c0"),
-                start=int(entry["start"]),
-                length=int(entry["len"]),
+                coset=_json_typed(entry.get("coset", "c0"), str, "coset"),
+                start=_json_int(entry["start"], "start"),
+                length=_json_int(entry["len"], "len"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad segment {entry!r}: {exc}") from exc

@@ -1,15 +1,22 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bzcalc.cli import main
 from bzcalc.family import scenario_to_json
 
+from test_acceptance import _twist_constant_scenario
 from test_family import three_point_scenario
 
 
@@ -174,6 +181,25 @@ class TestLongIntegers:
         assert self._parse(doc["k1_dim"]) == 10007 ** (3 * 780)
         assert doc["valuation_statistic"] == 780
 
+    def test_family_trace_log(self, capsys):
+        doc_in = json.dumps(
+            {
+                "fields": [{"p": 10007, "f": 3}],
+                "points": ["a"],
+                "closed_sets": [[], ["a"]],
+                "sigma": ["a"],
+                "assignment": {"a": [{"segments": [{"line": "unr", "start": 0, "len": 20}]}]},
+                "unit_seeds": {"k1": 1, "iwahori": 2},
+            }
+        )
+        limit = _int_str_limit()
+        status, report = run_cli(capsys, "family", doc_in, "a")
+        assert status == 0
+        assert _int_str_limit() == limit
+        logged = [e for e in report["trace_log"] if e["stage"] == "ratio_valuation"]
+        assert all(len(e["t_second"]) > 4300 for e in logged)
+        assert {e["valuation"] for e in logged} == {190}
+
     def test_identity_check(self, capsys):
         q = 2**220
         status, doc = run_cli(capsys, "identity-check", "--n-max", "12", "--q", str(q))
@@ -185,7 +211,31 @@ class TestLongIntegers:
         assert self._parse(row["alternating_sum"]) == q**66
 
 
+def _readme_scenario():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Scenario documents"):]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _readme_with(path, value):
+    """The README scenario, as JSON text, with doc[path[0]][path[1]]... = value."""
+    doc = json.loads(_readme_scenario())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _wd_segment(lines=(), **fields):
+    """A one-segment document with some fields of the segment replaced."""
+    entry = {"line": "unr", "start": 0, "len": 2, **fields}
+    return json.dumps({"lines": list(lines), "segments": [entry]})
+
+
 class TestMalformedNumbers:
+    """Malformed numbers, non-integer numbers and documents of the wrong shape."""
+
     @pytest.mark.parametrize(
         "argv, env",
         [
@@ -197,8 +247,47 @@ class TestMalformedNumbers:
             ),
             (["identity-check", "--n-max", "3"], {"BZ_MAX_N": "x"}),
             (["seg", '{"segments": [{"line": "unr", "start": ' + "1" * 5000 + ', "len": 1}]}'], {}),
+            (["dims", '{"multisegment": [1], "q": {"p": 2, "f": 1}}'], {}),
+            (["seg", '{"segments": 5}'], {}),
+            (["seg", '{"lines": 5, "segments": []}'], {}),
+            (["family", _readme_with(["declared"], []), "a"], {}),
+            (["wd", _wd_segment(len=1.5)], {}),
+            (["wd", _wd_segment(len=True)], {}),
+            (["wd", _wd_segment(start=0.0)], {}),
+            (["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": 2.7}])], {}),
+            (
+                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": 1.0}})],
+                {},
+            ),
+            (["family", _readme_with(["unit_seeds", "k1"], 1.9), "a"], {}),
+            (["family", _readme_with(["fields", 0, "p"], 3.0), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", "0", "c"], True), "a"], {}),
+            (["family", _readme_with(["declared", "ratio_valuations", "0.5"], {}), "a"], {}),
+            (["seg", json.dumps({"segments": [{"line": 5, "start": 0, "len": 1}] * 2})], {}),
+            (["family", _readme_with(["closed_sets", 1], "c"), "a"], {}),
         ],
-        ids=["segment-start", "identity-check-q", "dims-q-p", "bz-max-n", "huge-literal"],
+        ids=[
+            "segment-start",
+            "identity-check-q",
+            "dims-q-p",
+            "bz-max-n",
+            "huge-literal",
+            "dims-multisegment-list",
+            "seg-segments-int",
+            "seg-lines-int",
+            "family-declared-list",
+            "wd-len-float",
+            "wd-len-bool",
+            "wd-start-float",
+            "wd-block-size-float",
+            "dims-q-f-float",
+            "family-unit-seed-float",
+            "family-field-p-float",
+            "family-declared-value-bool",
+            "family-declared-index-float",
+            "seg-line-id-int",
+            "family-closed-set-string",
+        ],
     )
     def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
         for key, value in env.items():
@@ -334,12 +423,6 @@ class TestSelftest:
         assert out.count("PASS") >= 4
 
 
-def _readme_scenario():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text[text.index("### Scenario documents"):]
-    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-
-
 class TestReadmeScenario:
     def test_documented_example_runs(self, capsys):
         status, report = run_cli(capsys, "family", _readme_scenario(), "a")
@@ -354,6 +437,166 @@ class TestReadmeScenario:
         status, report = run_cli(capsys, "family", json.dumps(doc), "a")
         assert status == 0
         assert report["X0"] == ["a", "b"]
+
+
+def _tampered_family_argv(rng):
+    sc, x0, _ = _twist_constant_scenario(rng, adversarial=True)
+    return ["family", json.dumps(scenario_to_json(sc)), x0, "--seeds", "2"]
+
+
+class TestFamilyReportBytes:
+    """sha256 of the family report on stdout, fixed before the pipeline
+    evaluated each valuation and witness once per (point, slot)."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["family", _readme_scenario(), "a", "--seeds", "2"],
+                "a819afd6f8778069f65291fdfa2b654ebb1e1127e54c3fdc21b64b87a92fbe4c",
+            ),
+            (
+                _tampered_family_argv(random.Random(0)),
+                "c6d75ad3c59945a28694da48c46058442dedfd06686a3d1dbf16fb73f37dfcf6",
+            ),
+        ],
+        ids=["readme", "tampered"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        status = main(argv)
+        out = capsys.readouterr().out
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- fuzzing: random JSON where seg, dims, wd and family read their input ---
+#
+# Each call gets a well-formed document, or one with a single value (the whole
+# document included) replaced by an arbitrary JSON value.  Integers stay in
+# -3..6, multisegments have at most 5 segments and seg never walks --closure,
+# so no call reaches the exponential searches.
+
+_SMALL_INTS = st.integers(-3, 6)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | _SMALL_INTS | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_POINTS = ["a", "b", "c"]
+
+
+def _segment(draw, line, length):
+    return {
+        "line": line,
+        "coset": draw(st.sampled_from(["c0", "c1"])),
+        "start": draw(_SMALL_INTS),
+        "len": length,
+    }
+
+
+def _multisegment(draw):
+    lines = [{"line_id": "A", "block_size": draw(st.integers(1, 6)), "inertial_label": "ram"}]
+    segments = [
+        _segment(draw, draw(st.sampled_from(["unr", "A"])), draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return {"lines": lines, "segments": segments}
+
+
+def _scenario(draw):
+    """Equal ambient sizes per slot, so that most draws reach the pipeline."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    assignment = {}
+    for x in _POINTS:
+        per_field = []
+        for n in sizes:
+            lengths = []
+            while sum(lengths) < n:
+                lengths.append(draw(st.integers(1, n - sum(lengths))))
+            per_field.append({"segments": [_segment(draw, "unr", ln) for ln in lengths]})
+        assignment[x] = per_field
+    doc = {
+        "fields": [
+            {"p": draw(st.sampled_from([2, 3, 5])), "f": draw(st.integers(1, 2))}
+            for _ in sizes
+        ],
+        "points": list(_POINTS),
+        "closed_sets": [[], ["c"], ["a", "b"], list(_POINTS)],
+        "sigma": list(_POINTS),
+        "assignment": assignment,
+        "unit_seeds": {"k1": draw(_SMALL_INTS), "iwahori": draw(_SMALL_INTS)},
+    }
+    if draw(st.booleans()):
+        doc["declared"] = {
+            kind: {"0": {draw(st.sampled_from(_POINTS)): draw(_SMALL_INTS)}}
+            for kind in ("type_traces", "ratio_valuations")
+        }
+    return doc
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _with_junk(draw, doc):
+    """doc, or doc with one value replaced by an arbitrary JSON value."""
+    if draw(st.booleans()):
+        return doc
+    path = draw(st.sampled_from(list(_paths(doc))))
+    junk = draw(_JUNK)
+    if not path:
+        return junk
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = junk
+    return doc
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, stdin text) for one call; the main document is read from stdin."""
+    command = draw(st.sampled_from(["seg", "dims", "wd", "family"]))
+    if command == "seg":
+        flags = ["--statistic", "--order", "--children"]
+        argv = ["seg", "-", *draw(st.lists(st.sampled_from(flags), unique=True))]
+        if draw(st.booleans()):
+            argv += ["--leq", json.dumps(_with_junk(draw, _multisegment(draw)))]
+        doc = _multisegment(draw)
+    elif command == "dims":
+        argv = ["dims", "-"]
+        q = {"p": draw(st.sampled_from([2, 3, 5])), "f": draw(st.integers(1, 6))}
+        doc = {"multisegment": _multisegment(draw), "q": q}
+    elif command == "wd":
+        argv, doc = ["wd", "-"], _multisegment(draw)
+    else:
+        argv = ["family", "-", draw(st.sampled_from(_POINTS))]
+        argv += draw(st.sampled_from([[], ["--seeds", "2"]]))
+        doc = _scenario(draw)
+    return argv, json.dumps(_with_junk(draw, doc))
+
+
+class TestFuzz:
+    """Random documents end in exit status 0, 1 or 2, never in a traceback."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_cli_calls())
+    def test_exit_status_only(self, call):
+        argv, text = call
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ), mock.patch.object(sys, "stdin", io.StringIO(text)):
+            status = main(argv)
+        assert status in (0, 1, 2)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,7 +1,10 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from bzcalc import family
 from bzcalc.dimensions import PrimePower, vp
 from bzcalc.exceptions import DomainError, ModelViolation
 from bzcalc.family import (
@@ -35,6 +38,7 @@ from bzcalc.segments import (
 )
 
 from conftest import ms
+from test_acceptance import _twist_constant_scenario
 
 
 THREE_POINT_SITE = FiniteSite.of(
@@ -326,6 +330,52 @@ class TestPipeline:
         sc = scenario_from_json(doc)
         with pytest.raises(DomainError):
             run_pipeline(sc, "b")
+
+
+class TestPipelineMemo:
+    """run_pipeline evaluates each ratio valuation and twist witness once per
+    (point, slot); the trace_log still lists every lookup."""
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "tampered"])
+    def test_each_point_and_slot_evaluated_once(self, monkeypatch, adversarial):
+        sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=adversarial)
+        valuation_calls: Counter = Counter()
+        witness_calls = []
+        real_valuation = family.ratio_valuation
+        real_witness = family.twist_comparison_witness
+
+        def counting_valuation(sc, x, j, log=None):
+            valuation_calls[(x, j)] += 1
+            return real_valuation(sc, x, j, log)
+
+        def counting_witness(s0, s):
+            witness_calls.append((s0, s))
+            return real_witness(s0, s)
+
+        monkeypatch.setattr(family, "ratio_valuation", counting_valuation)
+        monkeypatch.setattr(family, "twist_comparison_witness", counting_witness)
+        report = family.run_pipeline(sc, x0)
+
+        n_fields = len(sc.fields)
+        assert len(witness_calls) == len(sc.sigma) * n_fields
+        assert set(valuation_calls.values()) == {1}
+        assert {(x, j) for x in report.locus for j in range(n_fields)} <= set(
+            valuation_calls
+        )
+        logged = [e for e in report.trace_log if e["stage"] == "ratio_valuation"]
+        assert {(e["point"], e["field"]) for e in logged} == set(valuation_calls)
+        assert len(logged) > len(valuation_calls)
+
+    def test_violation_in_valuation_propagates(self, monkeypatch):
+        sc = three_point_scenario()
+
+        def failing_valuation(sc, x, j, log=None):
+            raise ModelViolation("stub", certificate={"point": x})
+
+        monkeypatch.setattr(family, "ratio_valuation", failing_valuation)
+        with pytest.raises(ModelViolation) as info:
+            family.run_pipeline(sc, "a")
+        assert info.value.certificate == {"point": "a"}
 
 
 class TestScenarioJson:
