@@ -85,8 +85,9 @@ def cmd_seg(args) -> int:
             )
         ]
     if args.closure:
+        closure = seg.closure_edges(s)
         nodes = sorted(
-            seg.downward_closure(s),
+            {s}.union(child for _, child in closure),
             key=lambda c: (seg.statistic(c), json.dumps(
                 seg.multisegment_to_json(c), sort_keys=True)),
         )
@@ -100,7 +101,7 @@ def cmd_seg(args) -> int:
                 "statistic_delta": dims.elementary_statistic_delta(*abc),
             }
             for (a, b), abc in sorted(
-                seg.closure_edges(s).items(),
+                closure.items(),
                 key=lambda item: (index[item[0][0]], index[item[0][1]]),
             )
         ]
@@ -108,6 +109,7 @@ def cmd_seg(args) -> int:
             "nodes": [seg.multisegment_to_json(n) for n in nodes],
             "edges": edges,
         }
+        del closure, nodes, index  # release the walk before the report is written
     if args.leq is not None:
         other = seg.multisegment_from_json(_load_json(args.leq))
         out["leq"] = seg.leq(s, other)

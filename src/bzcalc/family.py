@@ -17,6 +17,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .exceptions import DomainError, ModelViolation
@@ -249,6 +250,8 @@ def _gl_order(n: int, q: int) -> int:
     out = 1
     for k in range(n):
         out *= q**n - q**k
+        if out >> 256:  # _derived_int's 256-bit digest is below any such bound
+            break
     return out
 
 
@@ -348,6 +351,16 @@ class FamilyScenario:
             self.declared_ratio_valuations,
         )
 
+    @cached_property
+    def _trivializing_degrees(self) -> tuple[int, ...]:
+        """Per field slot, the degree of the single collapsed base-change
+        step: the lcm of all block sizes occurring in that slot."""
+        return tuple(
+            math.lcm(1, *(seg.line.block_size for per_field in self.assignment.values()
+                          for seg in per_field[j]))
+            for j in range(len(self.fields))
+        )
+
 
 def scenario_violations(sc: FamilyScenario) -> list[str]:
     problems = site_violations(sc.site)
@@ -378,16 +391,6 @@ def scenario_violations(sc: FamilyScenario) -> list[str]:
     return problems
 
 
-def _trivializing_degree(sc: FamilyScenario, j: int) -> int:
-    """Degree of the single collapsed base-change step for field slot j:
-    the lcm of all block sizes occurring in that slot."""
-    d = 1
-    for per_field in sc.assignment.values():
-        for seg in per_field[j]:
-            d = math.lcm(d, seg.line.block_size)
-    return d
-
-
 def ratio_valuation(
     sc: FamilyScenario, x: str, j: int, log: list | None = None
 ) -> int:
@@ -402,7 +405,7 @@ def ratio_valuation(
     if not 0 <= j < len(sc.fields):
         raise DomainError(f"field index {j} out of range")
     qj = sc.fields[j]
-    qprime = PrimePower(qj.p, qj.f * _trivializing_degree(sc, j))
+    qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
     qsecond = PrimePower(qj.p, 2 * qprime.f)
     k1_seed = sc.unit_seeds["k1"]
     iw_seed = sc.unit_seeds["iwahori"]

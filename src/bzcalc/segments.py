@@ -195,38 +195,36 @@ def statistic(s: Multisegment) -> int:
     return sum(seg.length * (seg.length - 1) // 2 for seg in s)
 
 
+def _walk(s: Multisegment, prune=None):
+    """Breadth-first walk down from s: yields (node, elementary_edges(node))
+    once per expanded node.  A new child is marked seen, and is not expanded
+    when prune(child) holds."""
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            edges = elementary_edges(node)
+            yield node, edges
+            for child in edges:
+                if child not in seen:
+                    seen.add(child)
+                    if prune is None or not prune(child):
+                        nxt.append(child)
+        frontier = nxt
+
+
 def closure_edges(
     s: Multisegment,
 ) -> dict[tuple[Multisegment, Multisegment], tuple[int, int, int]]:
     """Every (parent, child) edge in the downward closure of s, with (a, b, c)."""
-    edges: dict[tuple[Multisegment, Multisegment], tuple[int, int, int]] = {}
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for child, abc in elementary_edges(node).items():
-                edges[(node, child)] = abc
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return edges
+    return {(node, child): abc
+            for node, edges in _walk(s) for child, abc in edges.items()}
 
 
 def downward_closure(s: Multisegment) -> frozenset[Multisegment]:
     """All multisegments <= s, by breadth-first expansion of elementary children."""
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for child in elementary_children(node):
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(node for node, _ in _walk(s))
 
 
 def leq(s0: Multisegment, s: Multisegment) -> bool:
@@ -243,20 +241,7 @@ def leq(s0: Multisegment, s: Multisegment) -> bool:
     target = statistic(s0)
     if target <= statistic(s):
         return False
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for child in elementary_children(node):
-                if child == s0:
-                    return True
-                if child in seen or statistic(child) >= target:
-                    continue
-                seen.add(child)
-                nxt.append(child)
-        frontier = nxt
-    return False
+    return any(s0 in edges for _, edges in _walk(s, lambda c: statistic(c) >= target))
 
 
 def twist_orbit(s: Multisegment) -> Counter:

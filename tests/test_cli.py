@@ -469,6 +469,58 @@ class TestFamilyReportBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _seg_doc(*segments, lines=()):
+    return json.dumps(
+        {
+            "lines": list(lines),
+            "segments": [
+                {"line": line, "coset": coset, "start": start, "len": length}
+                for line, coset, start, length in segments
+            ],
+        }
+    )
+
+
+class TestSegReportBytes:
+    """sha256 of `seg --closure --children --order --statistic` on stdout,
+    fixed while closure_edges, downward_closure and leq each ran their own
+    breadth-first walk."""
+
+    @pytest.mark.parametrize(
+        "doc, digest",
+        [
+            (
+                # mu = 2 stacked copies of m = 4 singletons
+                _seg_doc(*[("unr", "c0", i, 1) for i in range(4) for _ in range(2)]),
+                "2f6d03598b3e79c41c5d5e04bbfc418e897ee6f13760b8b9e312e86f608976e8",
+            ),
+            (
+                _seg_doc(
+                    ("unr", "c0", 0, 1), ("unr", "c0", 1, 2), ("unr", "c0", 2, 1),
+                    ("unr", "c1", 0, 1), ("unr", "c1", 1, 1),
+                    ("rho", "c0", 0, 2), ("rho", "c0", 1, 1), ("rho", "c0", 2, 1),
+                    lines=[{"line_id": "rho", "block_size": 2, "inertial_label": "rho"}],
+                ),
+                "b7397f1c5c47f6a3b4cdb351f5096b2af65f0b0532f5c2bbda8ef88e1da54753",
+            ),
+            (
+                # [0, 2] contains [1]; [3, 4] and [4, 5] are linked
+                _seg_doc(
+                    ("unr", "c0", 0, 3), ("unr", "c0", 1, 1),
+                    ("unr", "c0", 3, 2), ("unr", "c0", 4, 2),
+                ),
+                "c03aead0ff1957df4a6e0ccf38e125d0cdd9029e15d7ee400cd48016a63019ef",
+            ),
+        ],
+        ids=["stacked-singletons", "two-cosets-two-lines", "nested-and-linked"],
+    )
+    def test_stdout_digest(self, capsys, doc, digest):
+        status = main(["seg", doc, "--closure", "--children", "--order", "--statistic"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # --- fuzzing: random JSON where seg, dims, wd and family read their input ---
 #
 # Each call gets a well-formed document, or one with a single value (the whole

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from bzcalc import family
+from bzcalc.cli import main
 from bzcalc.dimensions import PrimePower, vp
 from bzcalc.exceptions import DomainError, ModelViolation
 from bzcalc.family import (
@@ -254,6 +258,77 @@ class TestRatioValuation:
         )
         assert ratio_valuation(sc, "a", 0) == 1
         assert ratio_valuation(sc, "a", 1) == 3
+
+    def test_slot_degree_is_lcm_over_points(self):
+        def block(m):
+            return Multisegment([Segment(CuspidalLine(f"L{m}", m), "c0", 0, 1)])
+
+        sc = FamilyScenario(
+            fields=(PrimePower(3, 1), PrimePower(2, 1)),
+            site=FiniteSite.of(["a", "b"], [[], ["a"], ["b"], ["a", "b"]]),
+            sigma=frozenset({"a", "b"}),
+            assignment={"a": (block(2), ms((0, 1))), "b": (block(3), ms((0, 1)))},
+            unit_seeds={"k1": 17, "iwahori": 5},
+        )
+        assert sc._trivializing_degrees == (6, 1)
+
+    def test_bad_point_or_slot_raises_before_reading(self):
+        # an assignment that cannot be read: any access to it raises TypeError
+        sc = FamilyScenario(
+            fields=(PrimePower(3, 1),),
+            site=FiniteSite.of(["a"], [[], ["a"]]),
+            sigma=frozenset({"a"}),
+            assignment={"a": None},
+            unit_seeds={"k1": 17, "iwahori": 5},
+        )
+        for x, j in (("z", 0), ("a", 1), ("a", -1)):
+            with pytest.raises(DomainError):
+                ratio_valuation(sc, x, j)
+
+
+class TestGlOrderBound:
+    """_gl_order stops once its partial product passes 2^256, the range of
+    the digest that _derived_int reduces modulo it."""
+
+    def test_capped_bound_gives_the_same_values(self):
+        for n in range(1, 13):
+            for q in (2, 3, 4, 5, 7, 9, 16, 25, 125, 15625):
+                full = math.prod(q**n - q**k for k in range(n))
+                capped = family._gl_order(n, q)
+                assert capped == full or capped >= 2**256
+                for seed in range(4):
+                    payload = f"n={n}|q={q}"
+                    assert family._derived_int(
+                        seed, "k1", payload, capped
+                    ) == family._derived_int(seed, "k1", payload, full)
+
+    def test_block_six_family_runs_in_budget(self, capsys):
+        """One point, five length-6 segments on a block-6 line over q = 5^6:
+        the full |GL_180| over q' = 5^36 and q'' = 5^72 has about 0.8 and
+        1.6 million digits."""
+        doc = {
+            "fields": [{"p": 5, "f": 6}],
+            "points": ["a"],
+            "closed_sets": [[], ["a"]],
+            "sigma": ["a"],
+            "lines": [{"line_id": "rho", "block_size": 6, "inertial_label": "rho"}],
+            "assignment": {
+                "a": [{"segments": [
+                    {"line": "rho", "coset": "c0", "start": 0, "len": 6}
+                ] * 5}]
+            },
+            "unit_seeds": {"k1": 17, "iwahori": 5},
+        }
+        start = time.perf_counter()
+        status = main(["family", json.dumps(doc), "a"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert status == 0
+        assert elapsed < 5
+        # the report as printed before the early stop, when this took ~13 s
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ffe75d37b08adf68de974e2ec56c519bd0d04ab703589965184257e22c28cb6e"
+        )
 
 
 class TestPipeline:

@@ -176,6 +176,55 @@ class TestPartialOrder:
             assert statistic(child) > statistic(parent)
 
 
+def _support_and_ranks(s):
+    """The support of s, and r_ij = #{segments of s on (line, coset) that
+    cover [i, j]} for all i <= j."""
+    ranks = Counter()
+    for g in s:
+        for i in range(g.start, g.end):
+            for j in range(i, g.end):
+                ranks[(g.line, g.coset, i, j)] += 1
+    return support(s), ranks
+
+
+def _rank_leq(a, b):
+    """Zelevinsky's rank rule on (support, ranks) pairs: a <= b iff a and b
+    have equal support and r_ij(a) >= r_ij(b) for all i <= j, within each
+    (line, coset) group."""
+    (support_a, ra), (support_b, rb) = a, b
+    return support_a == support_b and all(
+        ra[key] >= count for key, count in rb.items()
+    )
+
+
+class TestLeqOracle:
+    """leq, whose walk prunes by statistic, against the unpruned closure and
+    against the rank rule, on every pair of one support."""
+
+    def _check_every_pair(self, pool):
+        ranks = {s: _support_and_ranks(s) for s in pool}
+        for b in pool:
+            below = downward_closure(b)
+            for a in pool:
+                expected = a in below
+                assert leq(a, b) == expected, (a, b)
+                assert _rank_leq(ranks[a], ranks[b]) == expected, (a, b)
+
+    @pytest.mark.parametrize(
+        "m,mu", [(m, mu) for m in range(1, 9) for mu in range(1, 8 // m + 1)]
+    )
+    def test_one_coset(self, m, mu):
+        self._check_every_pair(list(multisegments_with_support(m, mu)))
+
+    def test_two_cosets(self):
+        """Support {0, 1, 2} on coset c0 and {0, 1} twice on coset c1."""
+        self._check_every_pair([
+            Multisegment(a.segments + b.segments)
+            for a in multisegments_with_support(3, 1, coset="c0")
+            for b in multisegments_with_support(2, 2, coset="c1")
+        ])
+
+
 class TestStatistic:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_single_segment(self, n):
