@@ -47,12 +47,74 @@ def _load_json(source: str):
         raise DomainError(f"malformed JSON in {origin}: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for a
+    document of dicts with str keys, lists, tuples, str, int, bool and None.
+
+    json.dumps with an indent falls back to CPython's pure-Python encoder,
+    which yields separator, key and value as separate strings.  Here the
+    text of a line up to and including a scalar value (separator, indent,
+    key and value) is one string, and the strings are joined once.
+    """
+    pieces: list[str] = []
+    append = pieces.append
+
+    def write(value, head: str, indent: str) -> None:
+        # head: the text before value on its line, not yet written
+        if isinstance(value, str):
+            append(head + _encode_str(value))
+        elif value is None:
+            append(head + "null")
+        elif value is True:
+            append(head + "true")
+        elif value is False:
+            append(head + "false")
+        elif isinstance(value, int):
+            append(head + int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                append(head + "{}")
+                return
+            inner = indent + "  "
+            lead = head + "{\n" + inner
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(item, lead + _encode_str(key) + ": ", inner)
+                lead = ",\n" + inner
+            append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append(head + "[]")
+                return
+            inner = indent + "  "
+            lead = head + "[\n" + inner
+            for item in value:
+                write(item, lead, inner)
+                lead = ",\n" + inner
+            append("\n" + indent + "]")
+        else:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+
+    write(doc, "", "")
+    return "".join(pieces)
+
+
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    text = _dumps(doc)
+    if not output:
+        print(text)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    except OSError as exc:
+        raise DomainError(f"cannot write {output}: {exc}") from exc
 
 
 def _parse_q(value: str) -> dims.PrimePower:
@@ -324,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     except ModelViolation as exc:
         print(f"model violation: {exc}", file=sys.stderr)
-        print(json.dumps({"certificate": exc.certificate}, sort_keys=True, indent=2))
+        print(_dumps({"certificate": exc.certificate}))
         return EXIT_VIOLATION
 
 

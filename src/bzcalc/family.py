@@ -13,7 +13,6 @@ verdicts depend only on valuations, never on the units.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -59,27 +58,33 @@ class FiniteSite:
             frozenset(frozenset(c) for c in closed_sets),
         )
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """site_violations, checked once per site: every with_seeds copy of
+        a scenario shares its site."""
+        problems = []
+        if frozenset() not in self.closed_sets:
+            problems.append("empty set is not closed")
+        if self.points not in self.closed_sets:
+            problems.append("whole space is not closed")
+        for c in self.closed_sets:
+            if not c <= self.points:
+                problems.append(f"closed set {sorted(c)} is not a subset of the space")
+        sets = sorted(self.closed_sets, key=sorted)
+        for a in sets:
+            for b in sets:
+                if a | b not in self.closed_sets:
+                    problems.append(f"union {sorted(a)} | {sorted(b)} is not closed")
+                if a & b not in self.closed_sets:
+                    problems.append(
+                        f"intersection {sorted(a)} & {sorted(b)} is not closed"
+                    )
+        return tuple(problems)
+
 
 def site_violations(site: FiniteSite) -> list[str]:
     """Instances of violated closed-set axioms, empty iff the site is valid."""
-    problems = []
-    if frozenset() not in site.closed_sets:
-        problems.append("empty set is not closed")
-    if site.points not in site.closed_sets:
-        problems.append("whole space is not closed")
-    for c in site.closed_sets:
-        if not c <= site.points:
-            problems.append(f"closed set {sorted(c)} is not a subset of the space")
-    sets = sorted(site.closed_sets, key=sorted)
-    for a in sets:
-        for b in sets:
-            if a | b not in site.closed_sets:
-                problems.append(f"union {sorted(a)} | {sorted(b)} is not closed")
-            if a & b not in site.closed_sets:
-                problems.append(
-                    f"intersection {sorted(a)} & {sorted(b)} is not closed"
-                )
-    return problems
+    return list(site._violations)
 
 
 def validate_site(site: FiniteSite) -> bool:
@@ -262,10 +267,11 @@ def _derived_int(seed: int, tag: str, payload: str, bound: int) -> int:
 
 
 def _payload(s: Multisegment, q: PrimePower | None = None) -> str:
-    doc = multisegment_to_json(s)
-    if q is not None:
-        doc["q"] = {"p": q.p, "f": q.f}
-    return json.dumps(doc, sort_keys=True)
+    """json.dumps(multisegment_to_json(s) plus "q", sort_keys=True), from the
+    text of s's "lines" and "segments" computed once per multisegment."""
+    lines, segments = s._json_pieces
+    q_item = "" if q is None else f'"q": {{"f": {q.f}, "p": {q.p}}}, '
+    return f'{{"lines": {lines}, {q_item}"segments": {segments}}}'
 
 
 def k1_trace(s: Multisegment, q: PrimePower, seed: int) -> int:
@@ -361,6 +367,37 @@ class FamilyScenario:
             for j in range(len(self.fields))
         )
 
+    # Per (point, slot), filled on first use.  with_seeds makes a new
+    # scenario, so each rerun computes its seed-dependent values afresh.
+
+    @cached_property
+    def _shadows(self) -> dict[tuple[str, int], Multisegment]:
+        return {}
+
+    @cached_property
+    def _iwahori_factors(self) -> dict[tuple[str, int], int]:
+        return {}
+
+    def _shadow(self, x: str, i: int) -> Multisegment:
+        """base_change_shadow of the multisegment at (x, i)."""
+        shadow = self._shadows.get((x, i))
+        if shadow is None:
+            shadow = base_change_shadow(self.assignment[x][i])
+            self._shadows[(x, i)] = shadow
+        return shadow
+
+    def _iwahori_factor(self, x: str, i: int) -> int:
+        """iwahori_trace of the shadow at (x, i), under the Iwahori seed."""
+        factor = self._iwahori_factors.get((x, i))
+        if factor is None:
+            factor = iwahori_trace(
+                self._shadow(x, i),
+                self.assignment[x][i].total_size,
+                self.unit_seeds["iwahori"],
+            )
+            self._iwahori_factors[(x, i)] = factor
+        return factor
+
 
 def scenario_violations(sc: FamilyScenario) -> list[str]:
     problems = site_violations(sc.site)
@@ -408,13 +445,11 @@ def ratio_valuation(
     qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
     qsecond = PrimePower(qj.p, 2 * qprime.f)
     k1_seed = sc.unit_seeds["k1"]
-    iw_seed = sc.unit_seeds["iwahori"]
-    shadow = base_change_shadow(sc.assignment[x][j])
+    shadow = sc._shadow(x, j)
     iw_product = 1
-    for i, s in enumerate(sc.assignment[x]):
-        if i == j:
-            continue
-        iw_product *= iwahori_trace(base_change_shadow(s), s.total_size, iw_seed)
+    for i in range(len(sc.assignment[x])):
+        if i != j:
+            iw_product *= sc._iwahori_factor(x, i)
     t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
     t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
     v = vp(t_second, qj.p) - vp(t_prime, qj.p)
@@ -580,7 +615,8 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     Every surviving dense point is then certified or flagged.
 
     Each twist witness and each ratio valuation is computed at most once per
-    (point, slot) in one run.  A valuation that is looked up again appends a
+    (point, slot) in one run, and so are the base-change shadow and the
+    Iwahori factor that the valuations share (FamilyScenario keeps them).  A valuation that is looked up again appends a
     shallow copy of its first trace_log entry, so the log lists every lookup
     as if each had been computed.
     """

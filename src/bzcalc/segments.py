@@ -9,8 +9,10 @@ Every value here is immutable and every function is pure.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .exceptions import DomainError
@@ -100,6 +102,16 @@ class Multisegment:
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(seg.length for seg in admissible_order(self))
+
+    @cached_property
+    def _json_pieces(self) -> tuple[str, str]:
+        """json.dumps(sort_keys=True) of the "lines" and of the "segments"
+        value of multisegment_to_json(self), computed once."""
+        doc = multisegment_to_json(self)
+        return (
+            json.dumps(doc["lines"], sort_keys=True),
+            json.dumps(doc["segments"], sort_keys=True),
+        )
 
 
 def is_linked(a: Segment, b: Segment) -> bool:

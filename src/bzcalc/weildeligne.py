@@ -70,16 +70,6 @@ class RationalMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.size
-        a, b = self.entries, other.entries
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
-
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(
@@ -88,9 +78,6 @@ class RationalMatrix:
                 for i in range(n)
             )
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def sp_partition(n: int) -> JordanPartition:
@@ -117,18 +104,6 @@ def direct_sum(a: WDShadow, b: WDShadow) -> WDShadow:
         a.inertia + b.inertia,
         JordanPartition(a.partition.blocks + b.partition.blocks),
     )
-
-
-def nilpotent_matrix(p: JordanPartition) -> RationalMatrix:
-    """N in Jordan form: ones on the superdiagonal within each block."""
-    n = p.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for size in p.blocks:
-        for i in range(size - 1):
-            rows[offset + i][offset + i + 1] = Fraction(1)
-        offset += size
-    return RationalMatrix(tuple(tuple(row) for row in rows))
 
 
 def _times_nilpotent(rows: list[list[Fraction]], p: JordanPartition) -> list[list[Fraction]]:

@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from pathlib import Path
 
 from bzcalc.segments import CuspidalLine, Multisegment, Segment
 
@@ -46,3 +48,11 @@ def multisegments_with_support(m, mu, line=UNR, coset="c0"):
 def interval_decompositions(n, line=UNR, coset="c0"):
     """Multisegments with multiplicity-one support {0, ..., n-1}."""
     return multisegments_with_support(n, 1, line=line, coset=coset)
+
+
+def readme_scenario():
+    """The scenario document of the README's "Scenario documents" section,
+    as JSON text."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Scenario documents"):]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +12,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bzcalc.cli import main
+from bzcalc.cli import _dumps, main
 from bzcalc.family import scenario_to_json
 
+from conftest import readme_scenario
 from test_acceptance import _twist_constant_scenario
 from test_family import three_point_scenario
 
@@ -211,20 +211,18 @@ class TestLongIntegers:
         assert self._parse(row["alternating_sum"]) == q**66
 
 
-def _readme_scenario():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text[text.index("### Scenario documents"):]
-    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-
-
 def _readme_with(path, value):
     """The README scenario, as JSON text, with doc[path[0]][path[1]]... = value."""
-    doc = json.loads(_readme_scenario())
+    doc = json.loads(readme_scenario())
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
     return json.dumps(doc)
+
+
+# An output path in a directory that does not exist.
+MISSING_DIR_FILE = str(Path(__file__).resolve().parent / "no-such-dir" / "x.json")
 
 
 def _wd_segment(lines=(), **fields):
@@ -265,6 +263,8 @@ class TestMalformedNumbers:
             (["family", _readme_with(["declared", "ratio_valuations", "0.5"], {}), "a"], {}),
             (["seg", json.dumps({"segments": [{"line": 5, "start": 0, "len": 1}] * 2})], {}),
             (["family", _readme_with(["closed_sets", 1], "c"), "a"], {}),
+            (["seg", _wd_segment(), "--statistic", "--output", MISSING_DIR_FILE], {}),
+            (["family", readme_scenario(), "a", "--report", MISSING_DIR_FILE], {}),
         ],
         ids=[
             "segment-start",
@@ -287,6 +287,8 @@ class TestMalformedNumbers:
             "family-declared-index-float",
             "seg-line-id-int",
             "family-closed-set-string",
+            "seg-output-missing-dir",
+            "family-report-missing-dir",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
@@ -425,14 +427,14 @@ class TestSelftest:
 
 class TestReadmeScenario:
     def test_documented_example_runs(self, capsys):
-        status, report = run_cli(capsys, "family", _readme_scenario(), "a")
+        status, report = run_cli(capsys, "family", readme_scenario(), "a")
         assert status == 2
         assert report["X0"] == ["a", "b", "c"]
         bad = [v["point"] for v in report["verdicts"] if v["status"] == "violation"]
         assert bad == ["c"]
 
     def test_without_declared_block(self, capsys):
-        doc = json.loads(_readme_scenario())
+        doc = json.loads(readme_scenario())
         del doc["declared"]
         status, report = run_cli(capsys, "family", json.dumps(doc), "a")
         assert status == 0
@@ -452,7 +454,7 @@ class TestFamilyReportBytes:
         "argv, digest",
         [
             (
-                ["family", _readme_scenario(), "a", "--seeds", "2"],
+                ["family", readme_scenario(), "a", "--seeds", "2"],
                 "a819afd6f8778069f65291fdfa2b654ebb1e1127e54c3fdc21b64b87a92fbe4c",
             ),
             (
@@ -521,12 +523,14 @@ class TestSegReportBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# --- fuzzing: random JSON where seg, dims, wd and family read their input ---
+# --- fuzzing: random argv and JSON for every subcommand ---------------------
 #
-# Each call gets a well-formed document, or one with a single value (the whole
-# document included) replaced by an arbitrary JSON value.  Integers stay in
-# -3..6, multisegments have at most 5 segments and seg never walks --closure,
-# so no call reaches the exponential searches.
+# Each call gets a random choice of its subcommand's flags, sometimes an
+# output path in a missing directory or an argument argparse rejects, and a
+# well-formed document or one with a single value (the whole document
+# included) replaced by an arbitrary JSON value.  Integers stay in -3..6,
+# multisegments have at most 5 segments, and --n-max stays small or passes
+# the bound, so no call runs long.
 
 _SMALL_INTS = st.integers(-3, 6)
 _JUNK = st.recursive(
@@ -616,10 +620,14 @@ def _with_junk(draw, doc):
 
 @st.composite
 def _cli_calls(draw):
-    """(argv, stdin text) for one call; the main document is read from stdin."""
-    command = draw(st.sampled_from(["seg", "dims", "wd", "family"]))
+    """(argv, stdin text) for one call; a main document is read from stdin."""
+    command = draw(
+        st.sampled_from(["seg", "dims", "wd", "family", "identity-check", "selftest"])
+    )
+    doc = None
+    output = "--output"
     if command == "seg":
-        flags = ["--statistic", "--order", "--children"]
+        flags = ["--statistic", "--order", "--children", "--closure"]
         argv = ["seg", "-", *draw(st.lists(st.sampled_from(flags), unique=True))]
         if draw(st.booleans()):
             argv += ["--leq", json.dumps(_with_junk(draw, _multisegment(draw)))]
@@ -630,25 +638,72 @@ def _cli_calls(draw):
         doc = {"multisegment": _multisegment(draw), "q": q}
     elif command == "wd":
         argv, doc = ["wd", "-"], _multisegment(draw)
+    elif command == "family":
+        argv = ["family", "-", draw(st.sampled_from(_POINTS + ["z"]))]
+        seeds = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+        argv += draw(st.sampled_from([[], ["--seeds", draw(seeds)]]))
+        doc, output = _scenario(draw), "--report"
+    elif command == "identity-check":
+        argv = ["identity-check"]
+        if draw(st.booleans()):
+            n_max = ["-1", "0", "1", "3", "5", "13", "99999", "x", ""]
+            argv += ["--n-max", draw(st.sampled_from(n_max))]
+        if draw(st.booleans()):
+            qs = ["2", "3", "4", "6", "9", "0", "1", "-5", "abc", " ", ""]
+            argv += ["--q", ",".join(draw(st.lists(st.sampled_from(qs), max_size=3)))]
     else:
-        argv = ["family", "-", draw(st.sampled_from(_POINTS))]
-        argv += draw(st.sampled_from([[], ["--seeds", "2"]]))
-        doc = _scenario(draw)
-    return argv, json.dumps(_with_junk(draw, doc))
+        argv = ["selftest"]
+    if command != "selftest" and draw(st.booleans()):
+        argv += [output, MISSING_DIR_FILE]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x"])))
+    return argv, "" if doc is None else json.dumps(_with_junk(draw, doc))
 
 
 class TestFuzz:
-    """Random documents end in exit status 0, 1 or 2, never in a traceback."""
+    """Random command lines and documents end in exit status 0, 1 or 2,
+    never in a traceback."""
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_cli_calls())
     def test_exit_status_only(self, call):
         argv, text = call
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()
         ), mock.patch.object(sys, "stdin", io.StringIO(text)):
-            status = main(argv)
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                status = exc.code
         assert status in (0, 1, 2)
+
+
+# --- the report writer -------------------------------------------------------
+
+_TEXT = st.text(max_size=8) | st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=8
+)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """_dumps writes every report; json.dumps is its oracle."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_DOCS)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, {"x": [float("nan")]}, {1: "a"}, {"x": {2}}])
+    def test_rejects_what_it_does_not_write(self, doc):
+        with pytest.raises(TypeError):
+            _dumps(doc)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -36,13 +36,15 @@ from bzcalc.segments import (
     CuspidalLine,
     Multisegment,
     Segment,
+    multisegment_to_json,
     statistic,
     support,
     twist_orbit_equal,
 )
+from bzcalc.weildeligne import monodromy_weight
 
-from conftest import ms
-from test_acceptance import _twist_constant_scenario
+from conftest import ms, readme_scenario
+from test_acceptance import _random_multisegment, _twist_constant_scenario
 
 
 THREE_POINT_SITE = FiniteSite.of(
@@ -83,6 +85,14 @@ class TestSite:
         site = FiniteSite.of(["a", "b"], [[], ["a"]])
         assert not validate_site(site)
         assert any("whole space" in v for v in site_violations(site))
+
+    def test_violations_are_a_new_list_per_call(self):
+        # scenario_violations appends to the list it gets back
+        site = FiniteSite.of(["a", "b"], [[], ["a"], ["b"]])
+        first = site_violations(site)
+        first.append("extra")
+        assert site_violations(site) == first[:-1]
+        assert "extra" not in first[:-1] and "whole space is not closed" in first
 
     def test_union_axiom_violation(self):
         site = FiniteSite.of(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])
@@ -286,6 +296,114 @@ class TestRatioValuation:
                 ratio_valuation(sc, x, j)
 
 
+BLOCK_LINES = (
+    CuspidalLine("unr", 1, "unr"),
+    CuspidalLine("A", 2, "ramA"),
+    CuspidalLine("B", 3, "ramB"),
+)
+
+
+def _generated_scenario(rng, n_fields):
+    """Two to five points on an indiscrete site, one or two random segments
+    per (point, slot); the first point's slot 0 holds a segment on the
+    block-2 line and one on the block-3 line."""
+    points = [f"p{k}" for k in range(rng.randrange(2, 6))]
+    assignment = {
+        x: [_random_multisegment(rng, BLOCK_LINES) for _ in range(n_fields)]
+        for x in points
+    }
+    assignment[points[0]][0] = Multisegment(
+        [Segment(BLOCK_LINES[m - 1], "c0", 0, rng.randrange(1, 4)) for m in (2, 3)]
+    )
+    return FamilyScenario(
+        fields=tuple(
+            PrimePower(rng.choice([2, 3, 5]), rng.choice([1, 2])) for _ in range(n_fields)
+        ),
+        site=FiniteSite.of(points, [[], points]),
+        sigma=frozenset(points),
+        assignment={x: tuple(per_field) for x, per_field in assignment.items()},
+        unit_seeds={"k1": rng.randrange(10**6), "iwahori": rng.randrange(10**6)},
+    )
+
+
+def _pairs(sc):
+    return [(x, j) for x in sorted(sc.sigma) for j in range(len(sc.fields))]
+
+
+class TestRatioValuationClosedForm:
+    """ratio_valuation(sc, x, j) == monodromy_weight(sc.assignment[x][j]): the
+    k1 units are coprime to p and the Iwahori factors of the other slots
+    cancel.  Guards the shadows and Iwahori factors a scenario keeps per
+    (point, slot)."""
+
+    def _check(self, sc):
+        pairs = _pairs(sc)
+        for x, j in pairs + pairs[::-1]:  # the second pass reuses the tables
+            assert ratio_valuation(sc, x, j) == monodromy_weight(sc.assignment[x][j])
+
+    def test_readme_scenario(self):
+        sc = scenario_from_json(json.loads(readme_scenario()))
+        self._check(sc)
+        self._check(sc.with_seeds(1007, 2011))
+
+    def test_generated_with_block_two_and_three_lines(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            sc = _generated_scenario(rng, rng.choice([1, 2, 3]))
+            self._check(sc)
+            self._check(sc.with_seeds(rng.randrange(10**6), rng.randrange(10**6)))
+
+    def test_shadow_and_iwahori_factor_once_per_point_and_slot(self, monkeypatch):
+        sc = _generated_scenario(random.Random(3), 3)
+        shadows, factors = [], []
+        real_shadow, real_iwahori = family.base_change_shadow, family.iwahori_trace
+
+        def counting_shadow(s):
+            shadows.append(s)
+            return real_shadow(s)
+
+        def counting_iwahori(s, n, seed):
+            factors.append(seed)
+            return real_iwahori(s, n, seed)
+
+        monkeypatch.setattr(family, "base_change_shadow", counting_shadow)
+        monkeypatch.setattr(family, "iwahori_trace", counting_iwahori)
+        pairs = _pairs(sc)
+        logs = []
+        for copy in (sc, sc, sc.with_seeds(5, 6)):
+            logs.append([])
+            for x, j in pairs:
+                ratio_valuation(copy, x, j, logs[-1])
+        # once per (point, slot) for sc, and again for the copy's seeds
+        assert len(shadows) == len(factors) == 2 * len(pairs)
+        assert factors == [sc.unit_seeds["iwahori"]] * len(pairs) + [6] * len(pairs)
+        assert logs[0] == logs[1] != logs[2]
+        fresh = FamilyScenario(
+            sc.fields, sc.site, sc.sigma, sc.assignment, {"k1": 5, "iwahori": 6}
+        )
+        log = []
+        for x, j in pairs:
+            ratio_valuation(fresh, x, j, log)
+        assert log == logs[2]
+
+
+class TestPayload:
+    def test_equals_sorted_json(self):
+        """_payload is hashed into every k1 and Iwahori trace value, so it
+        stays the text of json.dumps(..., sort_keys=True)."""
+        odd = CuspidalLine("L\u00e4\"", 2, "r\u00e4m\n")
+        for s in (
+            Multisegment([]),
+            ms((0, 2), (1, 1)),
+            Multisegment([Segment(odd, "c\u00e9", -1, 3), Segment(odd, "c0", 0, 1)]),
+        ):
+            for q in (None, PrimePower(3, 2)):
+                doc = multisegment_to_json(s)
+                if q is not None:
+                    doc["q"] = {"p": q.p, "f": q.f}
+                assert family._payload(s, q) == json.dumps(doc, sort_keys=True)
+
+
 class TestGlOrderBound:
     """_gl_order stops once its partial product passes 2^256, the range of
     the digest that _derived_int reduces modulo it."""
@@ -440,6 +558,22 @@ class TestPipelineMemo:
         logged = [e for e in report.trace_log if e["stage"] == "ratio_valuation"]
         assert {(e["point"], e["field"]) for e in logged} == set(valuation_calls)
         assert len(logged) > len(valuation_calls)
+
+    def test_iwahori_factor_at_most_once_per_point_and_slot(self, monkeypatch):
+        sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=True)
+        calls = []
+        real_iwahori = family.iwahori_trace
+
+        def counting_iwahori(s, n, seed):
+            calls.append(seed)
+            return real_iwahori(s, n, seed)
+
+        monkeypatch.setattr(family, "iwahori_trace", counting_iwahori)
+        for copy in (sc, sc.with_seeds(3, 4)):
+            calls.clear()
+            family.run_pipeline(copy, x0)
+            assert 0 < len(calls) <= len(sc.sigma) * len(sc.fields)
+            assert set(calls) == {copy.unit_seeds["iwahori"]}
 
     def test_violation_in_valuation_propagates(self, monkeypatch):
         sc = three_point_scenario()

@@ -13,7 +13,6 @@ from bzcalc.weildeligne import (
     direct_sum,
     exp_nilpotent,
     monodromy_weight,
-    nilpotent_matrix,
     nonzero_count_exp,
     partition_from_json,
     partition_statistic,
@@ -35,6 +34,39 @@ def partitions(n, largest=None):
     for head in range(min(n, largest), 0, -1):
         for rest in partitions(n - head, head):
             yield (head,) + rest
+
+
+# --- dense matrix oracle ----------------------------------------------------
+#
+# exp_nilpotent shifts columns inside each Jordan block; these dense products
+# check it from the definition.
+
+
+def _matmul(a, b):
+    n = a.size
+    x, y = a.entries, b.entries
+    return RationalMatrix(
+        tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def _is_zero(mat):
+    return all(x == 0 for row in mat.entries for x in row)
+
+
+def _nilpotent_matrix(p):
+    """N in Jordan form: ones on the superdiagonal within each block."""
+    n = p.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for size in p.blocks:
+        for i in range(size - 1):
+            rows[offset + i][offset + i + 1] = Fraction(1)
+        offset += size
+    return RationalMatrix(tuple(tuple(row) for row in rows))
 
 
 def _rank(rows):
@@ -65,7 +97,7 @@ def _jordan_blocks_from_ranks(mat):
     ranks = [n]
     power = RationalMatrix.identity(n)
     for _ in range(n + 1):
-        power = power @ mat
+        power = _matmul(power, mat)
         ranks.append(_rank(power.entries))
     blocks = []
     for k in range(1, n + 1):
@@ -99,7 +131,7 @@ class TestWdFromMultisegment:
         assert shadow.partition == JordanPartition((3, 3))
         assert shadow.inertia == (("ram", 6),)
         # independent check: Jordan type of id_2 (x) N_3 from ranks of powers
-        n3 = nilpotent_matrix(JordanPartition((3,)))
+        n3 = _nilpotent_matrix(JordanPartition((3,)))
         kron = RationalMatrix(
             tuple(
                 tuple(
@@ -153,8 +185,8 @@ class TestExpNilpotent:
         )
         power = RationalMatrix.identity(n)
         for _ in range(n):
-            power = power @ delta
-        assert power.is_zero()
+            power = _matmul(power, delta)
+        assert _is_zero(power)
 
     def test_size_bound(self):
         with pytest.raises(DomainError):
@@ -162,17 +194,17 @@ class TestExpNilpotent:
 
 
 def _dense_exp(p):
-    """sum_{k < n} N^k / k! from dense products of nilpotent_matrix."""
+    """sum_{k < n} N^k / k! from dense products of _nilpotent_matrix."""
     n = p.n
-    nmat = nilpotent_matrix(p)
+    nmat = _nilpotent_matrix(p)
     acc = [list(row) for row in RationalMatrix.identity(n).entries]
     power = RationalMatrix.identity(n)
     for k in range(1, n):
-        power = power @ nmat
+        power = _matmul(power, nmat)
         for i in range(n):
             for j in range(n):
                 acc[i][j] += power.entries[i][j] / math.factorial(k)
-    assert (power @ nmat).is_zero()
+    assert _is_zero(_matmul(power, nmat))
     return acc
 
 
