@@ -50,9 +50,25 @@ def _load_json(source: str):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(doc) -> str:
+class _Rendered:
+    """An array whose items _dumps does not walk: texts(indent) yields, for
+    each of the size items, the text _dumps would write for it at indent."""
+
+    __slots__ = ("size", "texts")
+
+    def __init__(self, size: int, texts):
+        self.size = size
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def _dumps(doc, indent: str = "") -> str:
     """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for a
-    document of dicts with str keys, lists, tuples, str, int, bool and None.
+    document of dicts with str keys, lists, tuples, str, int, bool, None
+    and _Rendered arrays.  Every line after the first is indented by indent
+    as well.
 
     json.dumps with an indent falls back to CPython's pure-Python encoder,
     which yields separator, key and value as separate strings.  Here the
@@ -86,23 +102,79 @@ def _dumps(doc) -> str:
                 write(item, lead + _encode_str(key) + ": ", inner)
                 lead = ",\n" + inner
             append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, (list, tuple, _Rendered)):
             if not value:
                 append(head + "[]")
                 return
             inner = indent + "  "
             lead = head + "[\n" + inner
-            for item in value:
-                write(item, lead, inner)
-                lead = ",\n" + inner
+            if isinstance(value, _Rendered):
+                for text in value.texts(inner):
+                    append(lead)
+                    append(text)
+                    lead = ",\n" + inner
+            else:
+                for item in value:
+                    write(item, lead, inner)
+                    lead = ",\n" + inner
             append("\n" + indent + "]")
         else:
             raise TypeError(
                 f"Object of type {type(value).__name__} is not JSON serializable"
             )
 
-    write(doc, "", "")
+    write(doc, "", indent)
     return "".join(pieces)
+
+
+def _multisegments(nodes: list, lines: list) -> _Rendered:
+    """The array of multisegment_to_json(node) for node in nodes, each of
+    whose "lines" value is lines."""
+
+    def texts(indent: str):
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        head = "{\n" + i1 + '"lines": ' + _dumps(lines, i1) + ",\n" + i1 + '"segments": ['
+        segment = (
+            "\n" + i2 + "{\n" + i3 + '"coset": %s,\n' + i3 + '"len": %d,\n'
+            + i3 + '"line": %s,\n' + i3 + '"start": %d\n' + i2 + "}"
+        )
+        tail = "\n" + i1 + "]\n" + indent + "}"
+        for node in nodes:
+            if not node.segments:
+                yield head + "]\n" + indent + "}"
+                continue
+            yield head + ",".join([
+                segment % (_encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start)
+                for g in node.segments
+            ]) + tail
+
+    return _Rendered(len(nodes), texts)
+
+
+def _edges(rows: list) -> _Rendered:
+    """The "edges" array of seg --closure, from sorted (parent index,
+    child index, (a, b, c)) rows."""
+
+    def texts(indent: str):
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        head = "{\n" + i1 + '"child": '
+        middles: dict = {}  # (a, b, c) -> the text between child and parent, and after parent
+        for parent, child, abc in rows:
+            middle = middles.get(abc)
+            if middle is None:
+                a, b, c = abc
+                middle = middles[abc] = (
+                    f',\n{i1}"lengths": [\n{i2}{a},\n{i2}{b}\n{i1}],\n'
+                    f'{i1}"overlap": {c},\n{i1}"parent": ',
+                    f',\n{i1}"statistic_delta": '
+                    f"{dims.elementary_statistic_delta(a, b, c)}\n{indent}}}",
+                )
+            yield f"{head}{child}{middle[0]}{parent}{middle[1]}"
+
+    return _Rendered(len(rows), texts)
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -138,40 +210,25 @@ def cmd_seg(args) -> int:
             seg.multisegment_to_json(seg.Multisegment([g]))["segments"][0]
             for g in seg.admissible_order(s)
         ]
+    # Every child and every closure node has the support of s, hence its
+    # lines; so their documents differ only in "segments", and they sort by
+    # the JSON text of "segments" as they would by the whole document's.
     if args.children:
-        out["children"] = [
-            seg.multisegment_to_json(c)
-            for c in sorted(
-                seg.elementary_children(s), key=lambda c: json.dumps(
-                    seg.multisegment_to_json(c), sort_keys=True)
-            )
-        ]
+        children = sorted(seg.elementary_children(s), key=seg._segments_json)
+        out["children"] = _multisegments(children, out["multisegment"]["lines"])
     if args.closure:
         closure = seg.closure_edges(s)
         nodes = sorted(
             {s}.union(child for _, child in closure),
-            key=lambda c: (seg.statistic(c), json.dumps(
-                seg.multisegment_to_json(c), sort_keys=True)),
+            key=lambda n: (seg.statistic(n), seg._segments_json(n)),
         )
         index = {node: k for k, node in enumerate(nodes)}
-        edges = [
-            {
-                "parent": index[a],
-                "child": index[b],
-                "lengths": [abc[0], abc[1]],
-                "overlap": abc[2],
-                "statistic_delta": dims.elementary_statistic_delta(*abc),
-            }
-            for (a, b), abc in sorted(
-                closure.items(),
-                key=lambda item: (index[item[0][0]], index[item[0][1]]),
-            )
-        ]
+        rows = sorted([(index[a], index[b], abc) for (a, b), abc in closure.items()])
+        del closure, index  # release the walk before the report is written
         out["closure"] = {
-            "nodes": [seg.multisegment_to_json(n) for n in nodes],
-            "edges": edges,
+            "nodes": _multisegments(nodes, out["multisegment"]["lines"]),
+            "edges": _edges(rows),
         }
-        del closure, nodes, index  # release the walk before the report is written
     if args.leq is not None:
         other = seg.multisegment_from_json(_load_json(args.leq))
         out["leq"] = seg.leq(s, other)
@@ -343,23 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leq", metavar="OTHER", help="path or inline JSON")
     p.add_argument("--statistic", action="store_true")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_seg)
+    p.set_defaults(handler="cmd_seg")
 
     p = sub.add_parser("dims", help="exact fixed-vector dimensions")
     p.add_argument("input", help="path, '-', or inline JSON")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_dims)
+    p.set_defaults(handler="cmd_dims")
 
     p = sub.add_parser("identity-check", help="alternating sum vs q^(n(n-1)/2)")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--q", help="comma-separated q values (prime powers)")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_identity_check)
+    p.set_defaults(handler="cmd_identity_check")
 
     p = sub.add_parser("wd", help="monodromy shadow and exact exp(N)")
     p.add_argument("input", help="path, '-', or inline JSON")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_wd)
+    p.set_defaults(handler="cmd_wd")
 
     p = sub.add_parser("family", help="run the rigidity pipeline on a scenario")
     p.add_argument("scenario", help="path, '-', or inline JSON")
@@ -369,18 +426,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, metavar="K",
         help="rerun under K seed choices and require identical verdicts",
     )
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(handler="cmd_family")
 
     p = sub.add_parser("selftest", help="run the built-in identity battery")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(handler="cmd_selftest")
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # by name, so that a rebound cmd_* attribute of this module is called
+        return globals()[args.handler](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

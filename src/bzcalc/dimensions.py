@@ -43,13 +43,66 @@ def _decimal(x: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly for every n
+# below PRIME_TEST_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)); PRIME_TEST_LIMIT itself is a strong
+# pseudoprime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly.
+
+    Raises DomainError for n >= PRIME_TEST_LIMIT with no prime factor up to
+    41: no test here decides those exactly in bounded time.
+    """
     if n < 2:
         return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    if n >= PRIME_TEST_LIMIT:
+        raise DomainError(
+            f"cannot decide whether a {n.bit_length()}-bit number is prime: "
+            f"primes are tested exactly below {PRIME_TEST_LIMIT}"
+        )
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
+
+
+def _exact_root(n: int, k: int) -> int | None:
+    """The integer r with r**k == n, or None; n >= 1.
+
+    Below 2^32 the float estimate of the root is within 1e-4 of it.  Above,
+    Newton's steps on integers fall monotonically to floor(n ** (1/k)) from
+    any start above it: the float estimate raised by far more than its
+    error, or a power of two.
+    """
+    log = math.log2(n) / k
+    if log < 32:
+        r = round(2.0**log)
+    else:
+        r = int(2.0**log * (1 + 1e-9)) + 1 if log < 1000 else 1 << math.ceil(log) + 1
+        while True:
+            y = ((k - 1) * r + n // r ** (k - 1)) // k
+            if y >= r:
+                break
+            r = y
+    return r if r**k == n else None
 
 
 @dataclass(frozen=True)
@@ -71,10 +124,14 @@ class PrimePower:
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
-        """Factor q as p^f; rejects non-prime-powers."""
+        """Factor q as p^f; rejects non-prime-powers.
+
+        A prime p up to 41 is found by division.  Any other p is at least 43,
+        so f < log_32(q), and p is the prime f-th root of q for one such f.
+        """
         if q < 2:
             raise DomainError(f"q must be >= 2, got {q}")
-        for p in range(2, q + 1):
+        for p in _PRIME_BASES:
             if q % p == 0:
                 f = 0
                 m = q
@@ -83,6 +140,10 @@ class PrimePower:
                     f += 1
                 if m != 1:
                     raise DomainError(f"{q} is not a prime power")
+                return cls(p, f)
+        for f in range(q.bit_length() // 5, 0, -1):
+            p = _exact_root(q, f)
+            if p is not None and _is_prime(p):
                 return cls(p, f)
         raise DomainError(f"{q} is not a prime power")
 

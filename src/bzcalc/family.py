@@ -213,7 +213,6 @@ def twist_comparison_witness(
             candidate = Multisegment(placed)
             return candidate if leq(candidate, s) else None
         g = segs0[idx]
-        tried: set[tuple[CuspidalLine, str, int]] = set()
         for (line, coset, pos), mult in list(remaining.items()):
             if mult <= 0:
                 continue
@@ -222,10 +221,6 @@ def twist_comparison_witness(
                 or line.block_size != g.line.block_size
             ):
                 continue
-            key = (line, coset, pos)
-            if key in tried:
-                continue
-            tried.add(key)
             cells = [(line, coset, pos + k) for k in range(g.length)]
             if any(remaining[c] <= 0 for c in cells):
                 continue

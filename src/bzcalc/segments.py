@@ -5,6 +5,11 @@ pair; a multisegment is a finite bag of segments.  Merging a linked pair into
 (union, intersection) is an elementary operation; chains of elementary
 operations generate a partial order on multisegments with a fixed support.
 Every value here is immutable and every function is pure.
+
+CuspidalLine, Segment and Multisegment compute their hash once, when they
+are built: the value the dataclass would compute on every call.  A hash of
+str fields changes with PYTHONHASHSEED, so the cached value never travels:
+pickling and copying rebuild a value through its constructor.
 """
 from __future__ import annotations
 
@@ -35,6 +40,15 @@ class CuspidalLine:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
         if self.inertial_label is None:
             object.__setattr__(self, "inertial_label", self.line_id)
+        object.__setattr__(
+            self, "_hash", hash((self.line_id, self.block_size, self.inertial_label))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CuspidalLine, (self.line_id, self.block_size, self.inertial_label))
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,15 @@ class Segment:
     def __post_init__(self):
         if self.length < 1:
             raise DomainError(f"segment length must be >= 1, got {self.length}")
+        object.__setattr__(
+            self, "_hash", hash((self.line, self.coset, self.start, self.length))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Segment, (self.line, self.coset, self.start, self.length))
 
     @property
     def end(self) -> int:
@@ -85,9 +108,15 @@ class Multisegment:
     segments: tuple[Segment, ...]
 
     def __init__(self, segments: Iterable[Segment]):
-        object.__setattr__(
-            self, "segments", tuple(sorted(segments, key=_canonical_key))
-        )
+        segs = tuple(sorted(segments, key=_canonical_key))
+        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_hash", hash((segs,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Multisegment, (self.segments,))
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
@@ -107,10 +136,9 @@ class Multisegment:
     def _json_pieces(self) -> tuple[str, str]:
         """json.dumps(sort_keys=True) of the "lines" and of the "segments"
         value of multisegment_to_json(self), computed once."""
-        doc = multisegment_to_json(self)
         return (
-            json.dumps(doc["lines"], sort_keys=True),
-            json.dumps(doc["segments"], sort_keys=True),
+            json.dumps(multisegment_to_json(self)["lines"], sort_keys=True),
+            _segments_json(self),
         )
 
 
@@ -277,6 +305,7 @@ def twist_orbit_equal(s: Multisegment, t: Multisegment) -> bool:
 
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_typed(value, kind: type, name: str):
@@ -361,3 +390,12 @@ def multisegment_to_json(s: Multisegment) -> dict:
             for seg in s.segments
         ],
     }
+
+
+def _segments_json(s: Multisegment) -> str:
+    """json.dumps(multisegment_to_json(s)["segments"], sort_keys=True)."""
+    return "[" + ", ".join([
+        '{"coset": %s, "len": %d, "line": %s, "start": %d}'
+        % (_encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start)
+        for g in s.segments
+    ]) + "]"

@@ -6,16 +6,18 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bzcalc import segments as seg
 from bzcalc.cli import _dumps, main
 from bzcalc.family import scenario_to_json
 
-from conftest import readme_scenario
+from conftest import multisegments_with_support, readme_scenario
 from test_acceptance import _twist_constant_scenario
 from test_family import three_point_scenario
 
@@ -315,6 +317,38 @@ class TestIdentityCheck:
         assert status == 1
 
 
+class TestLargePrimes:
+    """A prime q or p is factored and tested exactly in well under a second,
+    and one past the documented limit exits 1 with one line."""
+
+    def test_large_prime_q(self, capsys):
+        t0 = time.perf_counter()
+        status, doc = run_cli(capsys, "identity-check", "--n-max", "1", "--q", "1000000007")
+        assert time.perf_counter() - t0 < 1.0
+        assert status == 0
+        assert doc["rows"] == [
+            {"n": 1, "q": 1000000007, "alternating_sum": "1", "steinberg_dim": "1", "pass": True}
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity-check", "--n-max", "1", "--q", str(2**89 - 1)],
+            ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2**89 - 1, "f": 1}})],
+        ],
+        ids=["identity-check-q", "dims-p"],
+    )
+    def test_past_the_limit_exits_one(self, capsys, argv):
+        t0 = time.perf_counter()
+        status = main(argv)
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot decide whether a 89-bit number is prime")
+        assert captured.err.count("\n") == 1
+
+
 class TestWd:
     def test_full_segment(self, capsys):
         status, doc = run_cli(capsys, "wd", MS_L3)
@@ -521,6 +555,90 @@ class TestSegReportBytes:
         out = capsys.readouterr().out
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _seg_reference(doc: str) -> str:
+    """What `seg --closure --children --order --statistic` writes for doc,
+    built through multisegment_to_json and generic dicts, as the command did
+    before it rendered closure nodes and edges itself."""
+    s = seg.multisegment_from_json(json.loads(doc))
+
+    def text(c):
+        return json.dumps(seg.multisegment_to_json(c), sort_keys=True)
+
+    closure = seg.closure_edges(s)
+    nodes = sorted({s}.union(c for _, c in closure), key=lambda c: (seg.statistic(c), text(c)))
+    index = {node: k for k, node in enumerate(nodes)}
+    edges = [
+        {
+            "parent": index[a],
+            "child": index[b],
+            "lengths": [abc[0], abc[1]],
+            "overlap": abc[2],
+            "statistic_delta": (abc[0] - abc[2]) * (abc[1] - abc[2]),
+        }
+        for (a, b), abc in sorted(closure.items(), key=lambda e: (index[e[0][0]], index[e[0][1]]))
+    ]
+    reference = {
+        "multisegment": seg.multisegment_to_json(s),
+        "statistic": seg.statistic(s),
+        "order": [
+            seg.multisegment_to_json(seg.Multisegment([g]))["segments"][0]
+            for g in seg.admissible_order(s)
+        ],
+        "children": [
+            seg.multisegment_to_json(c) for c in sorted(seg.elementary_children(s), key=text)
+        ],
+        "closure": {"nodes": [seg.multisegment_to_json(n) for n in nodes], "edges": edges},
+    }
+    return json.dumps(reference, sort_keys=True, indent=2) + "\n"
+
+
+def _small_supports():
+    """Every multisegment whose support is {0, ..., m-1} with multiplicity mu,
+    for m * mu <= 6."""
+    for m in range(1, 7):
+        for mu in range(1, 6 // m + 1):
+            for k, s in enumerate(sorted(multisegments_with_support(m, mu), key=repr)):
+                yield pytest.param(json.dumps(seg.multisegment_to_json(s)), id=f"m{m}-mu{mu}-{k}")
+
+
+class TestClosureReportBytes:
+    """`seg --closure` renders each node and edge straight into the report's
+    format; json.dumps of the generic document is its oracle."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *_small_supports(),
+            # one segment: the closure has one node and no edge
+            pytest.param(_seg_doc(("unr", "c0", -3, 4)), id="one-segment"),
+            pytest.param(_seg_doc(), id="empty"),
+            # non-ASCII and escaped line ids and cosets, a block-2 line,
+            # negative starts
+            pytest.param(_seg_doc(
+                ("\u03c1", "c\u00f6", -2, 1), ("\u03c1", "c\u00f6", -1, 2),
+                ("\u03c1", "c\u00f6", 0, 1), ('q"\\', "\u2028", -1, 1), ('q"\\', "\u2028", 0, 1),
+                ("unr", "c0", -5, 2), ("unr", "c0", -4, 1),
+                lines=[
+                    {"line_id": "\u03c1", "block_size": 2, "inertial_label": "\u00e9"},
+                    {"line_id": 'q"\\', "block_size": 1, "inertial_label": "t\u00e4"},
+                ],
+            ), id="non-ascii-block-2-negative"),
+        ],
+    )
+    def test_same_bytes_as_the_generic_document(self, capsys, doc):
+        status = main(["seg", doc, "--closure", "--children", "--order", "--statistic"])
+        assert status == 0
+        assert capsys.readouterr().out == _seg_reference(doc)
+
+    def test_written_at_any_indent(self):
+        s = seg.multisegment_from_json(json.loads(_seg_doc(*[("unr", "c0", i, 1) for i in range(3)])))
+        doc = {"x": [{"y": seg.multisegment_to_json(s)}]}
+        for indent in ("", "  ", "\t "):
+            assert _dumps(doc, indent) == json.dumps(doc, sort_keys=True, indent=2).replace(
+                "\n", "\n" + indent
+            )
 
 
 # --- fuzzing: random argv and JSON for every subcommand ---------------------
@@ -731,7 +849,17 @@ class TestOptimizedInterpreter:
         }
     )
 
-    @pytest.mark.parametrize("argv", [["wd", WD_INPUT], ["selftest"]], ids=["wd", "selftest"])
+    SEG_INPUT = _seg_doc(
+        ("unr", "c0", 0, 1), ("unr", "c0", 1, 2), ("unr", "c0", 2, 1), ("unr", "c1", 0, 1),
+        ("A", "c0", 0, 1), ("A", "c0", 1, 1),
+        lines=[{"line_id": "A", "block_size": 2, "inertial_label": "ram"}],
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wd", WD_INPUT], ["selftest"], ["seg", SEG_INPUT, "--closure"]],
+        ids=["wd", "selftest", "seg-closure"],
+    )
     def test_same_bytes_under_O(self, argv):
         plain = _python("-m", "bzcalc.cli", *argv)
         optimized = _python("-O", "-m", "bzcalc.cli", *argv)

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
 from bzcalc.dimensions import (
+    PRIME_TEST_LIMIT,
     Composition,
     PrimePower,
     compositions,
@@ -15,6 +18,8 @@ from bzcalc.dimensions import (
     triangle_check,
     valuation_statistic,
     vp,
+    _exact_root,
+    _is_prime,
 )
 from bzcalc.exceptions import DomainError
 from bzcalc.segments import (
@@ -254,3 +259,73 @@ class TestPrimePower:
     def test_compositions_count(self):
         for n in range(1, 8):
             assert len(list(compositions(n))) == 2 ** (n - 1)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    """_is_prime is exact below PRIME_TEST_LIMIT, and from_q finds p without
+    dividing by every number up to q."""
+
+    def test_matches_trial_division(self):
+        for n in range(-3, 20000):
+            assert _is_prime(n) == _trial_division(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+            3825123056546413051,  # to the bases 2 ... 23
+            318665857834031151167461,  # to the bases 2 ... 37
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    def test_known_primes(self):
+        for n in (2**31 - 1, 1000000007, 2**61 - 1):
+            assert _is_prime(n)
+
+    @pytest.mark.parametrize("n", [PRIME_TEST_LIMIT, 2**89 - 1, 2**127 - 1])
+    def test_past_the_limit_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="cannot decide"):
+            _is_prime(n)
+        with pytest.raises(DomainError, match="cannot decide"):
+            PrimePower(n, 1)
+
+    def test_past_the_limit_with_a_small_factor_is_decided(self):
+        assert not _is_prime(3 * PRIME_TEST_LIMIT)
+        with pytest.raises(DomainError, match="not a prime power"):
+            PrimePower.from_q(43 * 2**200)
+
+    def test_exact_root(self):
+        for k in range(1, 40):
+            for r in (2, 43, 2**32 - 1, 2**32 + 1, 3**40, 10**30 + 7, 2**1100 + 1):
+                assert _exact_root(r**k, k) == r
+                if k > 1:
+                    assert _exact_root(r**k - 1, k) is None
+                    assert _exact_root(r**k + 1, k) is None
+
+    def test_from_q_of_prime_powers(self):
+        for p in (2, 3, 41, 43, 1009, 1000000007, 2**61 - 1):
+            for f in (1, 2, 3, 7, 30):
+                assert PrimePower.from_q(p**f) == PrimePower(p, f)
+        for q in (43 * 47, (43 * 47) ** 3, 1009**2 * 1013, (2**61 - 1) * 43):
+            with pytest.raises(DomainError, match="not a prime power"):
+                PrimePower.from_q(q)
+
+    @pytest.mark.parametrize(
+        "q",
+        [1000000007, 2**14000, 10007**1000, 43**2600 * 47, (2**61 - 1) ** 230],
+        ids=["prime", "power-of-two", "power-of-10007", "no-root", "power-of-large-prime"],
+    )
+    def test_decided_in_under_a_second(self, q):
+        # every q here has at most 4300 digits, as --q and JSON input do
+        t0 = time.perf_counter()
+        try:
+            PrimePower.from_q(q)
+        except DomainError:
+            pass
+        assert time.perf_counter() - t0 < 1.0

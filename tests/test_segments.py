@@ -1,6 +1,13 @@
+import dataclasses
 import itertools
 import json
+import os
+import pickle
+import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,3 +296,92 @@ class TestJson:
     def test_malformed_segment_rejected(self):
         with pytest.raises(DomainError):
             multisegment_from_json({"segments": [{"line": "A"}]})
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Pickles a list of values under one hash seed; run under another, loads
+# them and checks each against an equal value built afresh.
+_PICKLE_VALUES = """
+import pickle, sys
+from bzcalc.segments import CuspidalLine, Multisegment, Segment
+rho = CuspidalLine("rho", 2, "rho-label")
+unr = CuspidalLine("unr")
+values = [
+    unr,
+    Segment(rho, "c1", -1, 2),
+    Multisegment([Segment(unr, "c0", 0, 2), Segment(rho, "c1", -1, 2), Segment(unr, "c0", 1, 1)]),
+]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    table = {value: k for k, value in enumerate(loaded)}
+    for k, fresh in enumerate(values):
+        assert loaded[k] == fresh and hash(loaded[k]) == hash(fresh), k
+        assert table[fresh] == k, k
+    print("ok")
+"""
+
+
+def _python_with_seed(seed, *args, stdin=b""):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = str(seed)
+    return subprocess.run(
+        [sys.executable, "-c", _PICKLE_VALUES, *args],
+        input=stdin, capture_output=True, env=env, timeout=60, check=True,
+    ).stdout
+
+
+class TestHashCache:
+    """CuspidalLine, Segment and Multisegment compute their hash once, when
+    they are built."""
+
+    def test_equal_whatever_the_segment_order(self):
+        rng = random.Random(0)
+        for m, mu in [(3, 2), (4, 1), (2, 3)]:
+            for s in multisegments_with_support(m, mu):
+                shuffled = list(s.segments)
+                rng.shuffle(shuffled)
+                # equal segments and lines built afresh, not shared objects
+                fresh = Multisegment(
+                    Segment(CuspidalLine("unr"), g.coset, g.start, g.length)
+                    for g in shuffled
+                )
+                assert fresh == s and hash(fresh) == hash(s)
+                assert {s: 1}[fresh] == 1
+
+    def test_replace_recomputes_the_hash(self):
+        line = CuspidalLine("A", 2, "ram")
+        g = Segment(line, "c0", 0, 2)
+        s = Multisegment([g, Segment(line, "c0", 1, 1)])
+        cases = [
+            (dataclasses.replace(line, block_size=3), CuspidalLine("A", 3, "ram")),
+            (dataclasses.replace(g, start=5), Segment(line, "c0", 5, 2)),
+            (dataclasses.replace(s, segments=[g]), Multisegment([g])),
+        ]
+        for replaced, fresh in cases:
+            assert replaced == fresh and hash(replaced) == hash(fresh)
+
+    @pytest.mark.parametrize("attr", ["line_id", "coset", "segments", "_hash"])
+    def test_setting_an_attribute_raises(self, attr):
+        values = [CuspidalLine("unr"), seg(0, 2), ms((0, 2), (1, 1))]
+        for value in values:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, attr, None)
+
+    def test_repr_shows_the_fields_only(self):
+        assert repr(seg(0, 2)) == (
+            "Segment(line=CuspidalLine(line_id='unr', block_size=1, "
+            "inertial_label='unr'), coset='c0', start=0, length=2)"
+        )
+
+    def test_pickle_round_trip_in_process(self):
+        s = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c1", -1, 2), seg(0, 1)])
+        for copy in (pickle.loads(pickle.dumps(s)), dataclasses.replace(s)):
+            assert copy == s and hash(copy) == hash(s)
+
+    def test_pickle_across_hash_seeds(self):
+        dumped = _python_with_seed(1, "dump")
+        assert _python_with_seed(2, "load", stdin=dumped).strip() == b"ok"
