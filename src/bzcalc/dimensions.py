@@ -211,13 +211,13 @@ def steinberg_k1_dim(n: int, q: PrimePower) -> int:
     return q.q ** (n * (n - 1) // 2)
 
 
-def parabolic_alternating_sum(n: int, q: PrimePower, max_n: int | None = None) -> int:
+def parabolic_alternating_sum(n: int, q: PrimePower) -> int:
     """Signed sum of flag counts over all standard parabolics of GL_n.
 
     Equals steinberg_k1_dim(n, q); exposed separately so the identity can be
     checked rather than assumed.
     """
-    bound = _alternating_sum_bound() if max_n is None else max_n
+    bound = _alternating_sum_bound()
     if not 1 <= n <= bound:
         raise DomainError(f"n must be in [1, {bound}], got {n}")
     total = 0
@@ -255,11 +255,21 @@ def vp(x: int, p: int) -> int:
         raise DomainError("vp(0) is undefined")
     if not _is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
-    e = 0
+    # p^(2^i) divides x for every i < len(powers) and no larger i, so
+    # v_p(x) < 2^len(powers): its binary digits come out from the largest
+    # power down, in O(log v_p) divisions.
     x = abs(x)
-    while x % p == 0:
-        x //= p
-        e += 1
+    powers = []
+    power = p
+    while x % power == 0:
+        powers.append(power)
+        power *= power
+    e = 0
+    for i in reversed(range(len(powers))):
+        quot, rem = divmod(x, powers[i])
+        if not rem:
+            x = quot
+            e += 1 << i
     return e
 
 

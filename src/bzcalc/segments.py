@@ -78,13 +78,6 @@ class Segment:
         """Exclusive right endpoint."""
         return self.start + self.length
 
-    def points(self) -> range:
-        return range(self.start, self.end)
-
-    def point_keys(self) -> Iterator[tuple[CuspidalLine, str, int]]:
-        for pos in self.points():
-            yield (self.line, self.coset, pos)
-
 
 def _canonical_key(seg: Segment):
     return (
@@ -128,9 +121,6 @@ class Multisegment:
     def total_size(self) -> int:
         """n of the ambient GL_n: sum of block_size * length."""
         return sum(seg.line.block_size * seg.length for seg in self.segments)
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(seg.length for seg in admissible_order(self))
 
     @cached_property
     def _json_pieces(self) -> tuple[str, str]:
@@ -188,8 +178,8 @@ def support(s: Multisegment) -> Counter:
     multiplicity."""
     bag: Counter = Counter()
     for seg in s:
-        for key in seg.point_keys():
-            bag[key] += 1
+        for pos in range(seg.start, seg.end):
+            bag[(seg.line, seg.coset, pos)] += 1
     return bag
 
 

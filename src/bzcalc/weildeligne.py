@@ -7,9 +7,9 @@ ones on the superdiagonal of each block.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 from .exceptions import DomainError
@@ -106,42 +106,26 @@ def direct_sum(a: WDShadow, b: WDShadow) -> WDShadow:
     )
 
 
-def _times_nilpotent(rows: list[list[Fraction]], p: JordanPartition) -> list[list[Fraction]]:
-    """rows @ N for N in Jordan form: within each block, column j + 1 takes
-    column j and the block's first column becomes zero."""
-    out = []
-    for row in rows:
-        shifted = [_ZERO] * len(row)
-        offset = 0
-        for size in p.blocks:
-            shifted[offset + 1 : offset + size] = row[offset : offset + size - 1]
-            offset += size
-        out.append(shifted)
-    return out
-
-
 def exp_nilpotent(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> RationalMatrix:
-    """Exact exp(N) = sum_{k < n} N^k / k!, summed term by term.
+    """Exact exp(N), written down block by block.
 
-    Each power N^k is N^(k-1) @ N, done as a column shift inside each Jordan
-    block, so a term costs O(n^2).  Raises ArithmeticError unless N^n = 0.
+    N is in Jordan form, so N^k moves each block's basis k steps along its
+    superdiagonal: inside a block of size b, exp(N) holds 1/k! on the k-th
+    superdiagonal for k < b, and every entry outside the blocks is zero.
     """
     n = p.n
     if n > max_size:
         raise DomainError(f"partition size {n} exceeds bound {max_size}")
-    acc = [list(row) for row in RationalMatrix.identity(n).entries]
-    power = [list(row) for row in acc]
-    fact = 1
-    for k in range(1, n):
-        power = _times_nilpotent(power, p)
-        fact *= k
-        for acc_row, power_row in zip(acc, power):
-            for j, x in enumerate(power_row):
-                if x:
-                    acc_row[j] += x / fact
-    if any(any(row) for row in _times_nilpotent(power, p)):
-        raise ArithmeticError(f"N^{n} does not vanish for blocks {p.blocks}")
-    return RationalMatrix(tuple(tuple(row) for row in acc))
+    coeffs = tuple(Fraction(1, factorial(k)) for k in range(max(p.blocks, default=0)))
+    rows = []
+    offset = 0
+    for size in p.blocks:
+        for r in range(size):
+            rows.append(
+                (_ZERO,) * (offset + r) + coeffs[: size - r] + (_ZERO,) * (n - offset - size)
+            )
+        offset += size
+    return RationalMatrix(tuple(rows))
 
 
 def nonzero_count(mat: RationalMatrix) -> int:

@@ -137,8 +137,8 @@ def test_criterion_6_exp_count():
     for n in range(1, 11):
         for blocks in _partitions(n):
             p = JordanPartition(blocks)
-            # nonzero_count_exp counts entries of the exact series matrix and
-            # checks N^n = 0 internally
+            # nonzero_count_exp counts entries of the exact matrix that
+            # exp_nilpotent builds from the Jordan blocks
             assert nonzero_count_exp(p) == partition_statistic(p)
     _report("6 exp(N) nonzero count, partitions of n <= 10", time.perf_counter() - start, 5)
 

@@ -190,6 +190,45 @@ class TestValuations:
                 assert valuation_statistic(dim, q) == statistic(s)
 
 
+def _vp_one_at_a_time(x: int, p: int) -> int:
+    """v_p(x) by removing one factor of p per division: the oracle for vp."""
+    e = 0
+    x = abs(x)
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+class TestVpOracle:
+    """vp strips p, p^2, p^4, ... instead of one p at a time; the two agree."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65537])
+    def test_random_unit_times_power(self, p):
+        rng = random.Random(p)
+        for _ in range(1000):
+            v = rng.choice([rng.randrange(0, 70), rng.randrange(0, 600)])
+            u = rng.randrange(1, 10 ** rng.randrange(1, 40))
+            x = rng.choice([1, -1]) * u * p**v
+            assert vp(x, p) == _vp_one_at_a_time(x, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_small_valuation(self, p):
+        for v in range(300):
+            for u in (1, p + 1, p * p - 1):
+                assert vp(u * p**v, p) == _vp_one_at_a_time(u * p**v, p) == v
+
+    def test_large_valuation_is_fast(self):
+        x = 3 * 2**270_000 + 2**270_001
+        t0 = time.perf_counter()
+        assert vp(x, 2) == 270_000
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_non_prime_rejected(self):
+        with pytest.raises(DomainError):
+            vp(12, 4)
+
+
 class TestTriangleCheck:
     def test_worked_example(self):
         s = ms((0, 1), (1, 1))

@@ -38,8 +38,8 @@ def partitions(n, largest=None):
 
 # --- dense matrix oracle ----------------------------------------------------
 #
-# exp_nilpotent shifts columns inside each Jordan block; these dense products
-# check it from the definition.
+# exp_nilpotent writes 1/k! on each Jordan block's k-th superdiagonal; these
+# dense products check it from the definition.
 
 
 def _matmul(a, b):
