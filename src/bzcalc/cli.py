@@ -294,6 +294,9 @@ def cmd_identity_check(args) -> int:
 
 def cmd_wd(args) -> int:
     s = seg.multisegment_from_json(_load_json(args.input))
+    n = s.total_size  # checked before wd_from_multisegment lists every block
+    if n > wd.DEFAULT_EXP_BOUND:
+        raise DomainError(f"partition size {n} exceeds bound {wd.DEFAULT_EXP_BOUND}")
     shadow = wd.wd_from_multisegment(s)
     mat = wd.exp_nilpotent(shadow.partition)
     count = wd.nonzero_count(mat)

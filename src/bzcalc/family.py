@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -206,26 +206,34 @@ def twist_comparison_witness(
     if _inertial_point_bag(s0) != _inertial_point_bag(s):
         return None
     remaining = support(s)
+    starts = list(remaining)
     segs0 = sorted(s0.segments, key=lambda g: -g.length)
+    # Segments of one (length, inertial label, block size) are interchangeable,
+    # so each starts at or after the start of the one placed before it: the
+    # lexicographically first valid placement, the one a search over every
+    # order returns, keeps to this rule.
+    floors: dict[tuple, int] = {}  # kind -> starts index of its last placed segment
 
     def place(idx: int, placed: list[Segment]) -> Multisegment | None:
         if idx == len(segs0):
             candidate = Multisegment(placed)
             return candidate if leq(candidate, s) else None
         g = segs0[idx]
-        for (line, coset, pos), mult in list(remaining.items()):
-            if mult <= 0:
-                continue
+        kind = (g.length, g.line.inertial_label, g.line.block_size)
+        floor = floors.get(kind, 0)
+        for k in range(floor, len(starts)):
+            line, coset, pos = starts[k]
             if (
                 line.inertial_label != g.line.inertial_label
                 or line.block_size != g.line.block_size
             ):
                 continue
-            cells = [(line, coset, pos + k) for k in range(g.length)]
+            cells = [(line, coset, pos + t) for t in range(g.length)]
             if any(remaining[c] <= 0 for c in cells):
                 continue
             for c in cells:
                 remaining[c] -= 1
+            floors[kind] = k
             placed.append(Segment(line, coset, pos, g.length))
             found = place(idx + 1, placed)
             placed.pop()
@@ -233,6 +241,7 @@ def twist_comparison_witness(
                 remaining[c] += 1
             if found is not None:
                 return found
+        floors[kind] = floor
         return None
 
     return place(0, [])
@@ -292,23 +301,11 @@ def iwahori_trace(s: Multisegment, n: int, seed: int) -> int:
 # --- combinatorial base change ----------------------------------------------
 
 
-def base_change_shadow(
-    s: Multisegment, per_line_degree: Mapping[str, int] | None = None
-) -> Multisegment:
+def base_change_shadow(s: Multisegment) -> Multisegment:
     """Replace each segment on a block-m line by m equal-length segments on
     fresh pairwise-distinct unramified cosets; block-1 unramified lines pass
     through unchanged.
-
-    per_line_degree, when given, must assign each line its block size.
     """
-    if per_line_degree is not None:
-        for seg in s:
-            declared = per_line_degree.get(seg.line.line_id)
-            if declared != seg.line.block_size:
-                raise DomainError(
-                    f"degree {declared!r} for line {seg.line.line_id!r} does "
-                    f"not match its block size {seg.line.block_size}"
-                )
     out: list[Segment] = []
     for k, seg in enumerate(s.segments):
         m = seg.line.block_size
@@ -340,17 +337,17 @@ class FamilyScenario:
     declared_ratio_valuations: Mapping[int, Mapping[str, int]] = field(
         default_factory=dict
     )
+    # Tables filled on first use.  Shadows by (point, slot) and twist
+    # witnesses by (base point, point, slot) are seed-free and pass to every
+    # with_seeds copy; each copy starts its own Iwahori factors by (point, slot).
+    _shadows: dict = field(default_factory=dict, repr=False, compare=False)
+    _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
+    _iwahori_factors: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def with_seeds(self, k1: int, iwahori: int) -> "FamilyScenario":
-        return FamilyScenario(
-            self.fields,
-            self.site,
-            self.sigma,
-            self.assignment,
-            {"k1": k1, "iwahori": iwahori},
-            self.declared_type_traces,
-            self.declared_ratio_valuations,
-        )
+        return replace(self, unit_seeds={"k1": k1, "iwahori": iwahori})
 
     @cached_property
     def _trivializing_degrees(self) -> tuple[int, ...]:
@@ -362,16 +359,14 @@ class FamilyScenario:
             for j in range(len(self.fields))
         )
 
-    # Per (point, slot), filled on first use.  with_seeds makes a new
-    # scenario, so each rerun computes its seed-dependent values afresh.
-
-    @cached_property
-    def _shadows(self) -> dict[tuple[str, int], Multisegment]:
-        return {}
-
-    @cached_property
-    def _iwahori_factors(self) -> dict[tuple[str, int], int]:
-        return {}
+    def _witness(self, x0: str, x: str, i: int) -> Multisegment | None:
+        """twist_comparison_witness of the slot-i multisegments at x0 and x."""
+        key = (x0, x, i)
+        if key not in self._witnesses:
+            self._witnesses[key] = twist_comparison_witness(
+                self.assignment[x0][i], self.assignment[x][i]
+            )
+        return self._witnesses[key]
 
     def _shadow(self, x: str, i: int) -> Multisegment:
         """base_change_shadow of the multisegment at (x, i)."""
@@ -526,21 +521,20 @@ def _certify_point(
     x0: str,
     x: str,
     used_traces: Mapping[tuple[str, int], tuple[int, int]],
-    witnesses: Mapping[tuple[str, int], Multisegment | None],
     valuation: Callable[[str, int], int],
 ) -> dict:
     """Compare the traces computed at x from the assignments against the
     values used to build the locus; any mismatch, or a comparable point with
     equal valuation but a different twist orbit, is a violation.
 
-    witnesses holds the twist witness of every (point, slot) and valuation
-    gives the ratio valuation of one, as computed by run_pipeline."""
+    valuation gives the ratio valuation of a (point, slot), as computed by
+    run_pipeline."""
     problems = []
     details = []
     for i in range(len(sc.fields)):
         s0 = sc.assignment[x0][i]
         s = sc.assignment[x][i]
-        witness = witnesses[(x, i)]
+        witness = sc._witness(x0, x, i)
         computed_t = 1 if witness is not None else 0
         computed_rv = valuation(x, i)
         rv_x0 = valuation(x0, i)
@@ -554,44 +548,36 @@ def _certify_point(
         if witness is not None:
             entry["twist_witness"] = multisegment_to_json(witness)
         details.append(entry)
-        if used_t != computed_t:
-            problems.append(
-                {
-                    "reason": "declared type trace disagrees with the one "
-                    "computed from the assignment",
-                    "field": i,
-                    "declared": used_t,
-                    "computed": computed_t,
-                    "weighted_statistic": monodromy_weight(s),
-                    "base_weighted_statistic": monodromy_weight(s0),
-                }
-            )
-            continue
-        if used_rv != computed_rv:
-            problems.append(
-                {
-                    "reason": "declared ratio valuation disagrees with the one "
-                    "computed from the assignment",
-                    "field": i,
-                    "declared": used_rv,
-                    "computed": computed_rv,
-                    "weighted_statistic": monodromy_weight(s),
-                    "base_weighted_statistic": monodromy_weight(s0),
-                }
-            )
-            continue
-        # Inside the locus both traces match the base point's values.
-        if not twist_orbit_equal(s, s0):
-            problems.append(
-                {
-                    "reason": "comparable point with equal valuation but a "
-                    "different twist orbit; contradicts strict statistic "
-                    "monotonicity",
-                    "field": i,
-                    "orbit": [list(t) for t in _orbit_tuple(s)],
-                    "base_orbit": [list(t) for t in _orbit_tuple(s0)],
-                }
-            )
+        for name, used, computed in (
+            ("type trace", used_t, computed_t),
+            ("ratio valuation", used_rv, computed_rv),
+        ):
+            if used != computed:
+                problems.append(
+                    {
+                        "reason": f"declared {name} disagrees with the one "
+                        "computed from the assignment",
+                        "field": i,
+                        "declared": used,
+                        "computed": computed,
+                        "weighted_statistic": monodromy_weight(s),
+                        "base_weighted_statistic": monodromy_weight(s0),
+                    }
+                )
+                break
+        else:
+            # Inside the locus both traces match the base point's values.
+            if not twist_orbit_equal(s, s0):
+                problems.append(
+                    {
+                        "reason": "comparable point with equal valuation but a "
+                        "different twist orbit; contradicts strict statistic "
+                        "monotonicity",
+                        "field": i,
+                        "orbit": [list(t) for t in _orbit_tuple(s)],
+                        "base_orbit": [list(t) for t in _orbit_tuple(s0)],
+                    }
+                )
     verdict = {
         "point": x,
         "status": "violation" if problems else "certified",
@@ -609,11 +595,12 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     step 2 shrinks further by constancy of the per-field ratio valuations.
     Every surviving dense point is then certified or flagged.
 
-    Each twist witness and each ratio valuation is computed at most once per
-    (point, slot) in one run, and so are the base-change shadow and the
-    Iwahori factor that the valuations share (FamilyScenario keeps them).  A valuation that is looked up again appends a
-    shallow copy of its first trace_log entry, so the log lists every lookup
-    as if each had been computed.
+    Each ratio valuation is computed at most once per (point, slot) in one
+    run, and so is the Iwahori factor that the valuations share.  The twist
+    witnesses and base-change shadows are seed-free: sc keeps them, and its
+    with_seeds copies reuse them.  A valuation that is looked up again
+    appends a shallow copy of its first trace_log entry, so the log lists
+    every lookup as if each had been computed.
     """
     problems = scenario_violations(sc)
     if problems:
@@ -623,11 +610,9 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
     log: list = []
     nf = len(sc.fields)
-    s0s = sc.assignment[x0]
     used_traces: dict[tuple[str, int], list] = {
         (x, i): [None, None] for x in sc.sigma for i in range(nf)
     }
-    witnesses: dict[tuple[str, int], Multisegment | None] = {}
     valuations: dict[tuple[str, int], tuple[int, dict]] = {}
 
     def valuation(x: str, j: int) -> int:
@@ -644,9 +629,7 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
         declared = sc.declared_type_traces.get(i, {})
         sigma_vals = {}
         for x in sorted(sc.sigma):
-            witness = twist_comparison_witness(s0s[i], sc.assignment[x][i])
-            witnesses[(x, i)] = witness
-            computed = 1 if witness is not None else 0
+            computed = 1 if sc._witness(x0, x, i) is not None else 0
             value = declared.get(x, computed)
             sigma_vals[x] = value
             used_traces[(x, i)][0] = value
@@ -680,13 +663,13 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
     used = {k: tuple(v) for k, v in used_traces.items()}
     verdicts = tuple(
-        _certify_point(sc, x0, x, used, witnesses, valuation)
+        _certify_point(sc, x0, x, used, valuation)
         for x in sorted(locus & sc.sigma)
     )
     return RigidityReport(
         x0=x0,
         locus=tuple(sorted(locus)),
-        orbits=tuple(_orbit_tuple(s) for s in s0s),
+        orbits=tuple(_orbit_tuple(s) for s in sc.assignment[x0]),
         verdicts=verdicts,
         trace_log=tuple(log),
         seeds=tuple(sorted(sc.unit_seeds.items())),
@@ -704,9 +687,15 @@ def _names(value, name: str) -> list[str]:
 
 
 def scenario_from_json(doc: dict) -> FamilyScenario:
+    def _index(key: str, name: str) -> int:
+        """A slot index: an object key, so a str of canonical decimal digits."""
+        if not key.isdigit() or key != str(int(key)):
+            raise DomainError(f"{name} index must be decimal digits, got {key!r}")
+        return int(key)
+
     def _indexed(block: dict, name: str) -> dict[int, dict[str, int]]:
         return {
-            _json_int(i, f"{name} index"): {
+            _index(i, name): {
                 x: _json_int(v, f"{name} value")
                 for x, v in _json_typed(per_point, dict, f"{name} {i}").items()
             }

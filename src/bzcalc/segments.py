@@ -306,13 +306,10 @@ def _json_typed(value, kind: type, name: str):
 
 
 def _json_int(value, name: str) -> int:
-    """int(value) for a number read from JSON.
-
-    Rejects booleans and floats, which int() would accept or truncate.
-    """
-    if isinstance(value, (bool, float)):
+    """value, if it is a JSON integer: an int, never a bool, float or str."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:

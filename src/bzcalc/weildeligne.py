@@ -106,7 +106,7 @@ def direct_sum(a: WDShadow, b: WDShadow) -> WDShadow:
     )
 
 
-def exp_nilpotent(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> RationalMatrix:
+def exp_nilpotent(p: JordanPartition) -> RationalMatrix:
     """Exact exp(N), written down block by block.
 
     N is in Jordan form, so N^k moves each block's basis k steps along its
@@ -114,8 +114,8 @@ def exp_nilpotent(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> Rati
     superdiagonal for k < b, and every entry outside the blocks is zero.
     """
     n = p.n
-    if n > max_size:
-        raise DomainError(f"partition size {n} exceeds bound {max_size}")
+    if n > DEFAULT_EXP_BOUND:
+        raise DomainError(f"partition size {n} exceeds bound {DEFAULT_EXP_BOUND}")
     coeffs = tuple(Fraction(1, factorial(k)) for k in range(max(p.blocks, default=0)))
     rows = []
     offset = 0
@@ -138,9 +138,9 @@ def nonzero_count(mat: RationalMatrix) -> int:
     )
 
 
-def nonzero_count_exp(p: JordanPartition, max_size: int = DEFAULT_EXP_BOUND) -> int:
+def nonzero_count_exp(p: JordanPartition) -> int:
     """Number of nonzero entries of exp(N) - id, counted from the exact matrix."""
-    return nonzero_count(exp_nilpotent(p, max_size=max_size))
+    return nonzero_count(exp_nilpotent(p))
 
 
 def partition_statistic(p: JordanPartition) -> int:

@@ -7,13 +7,14 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bzcalc import segments as seg
+from bzcalc import family as fam, segments as seg
 from bzcalc.cli import _dumps, main
 from bzcalc.family import scenario_to_json
 
@@ -267,6 +268,21 @@ class TestMalformedNumbers:
             (["family", _readme_with(["closed_sets", 1], "c"), "a"], {}),
             (["seg", _wd_segment(), "--statistic", "--output", MISSING_DIR_FILE], {}),
             (["family", readme_scenario(), "a", "--report", MISSING_DIR_FILE], {}),
+            (["seg", _wd_segment(len=" 2 ")], {}),
+            (["wd", _wd_segment(start="0")], {}),
+            (["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": "2"}])], {}),
+            (
+                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": "1_0"}})],
+                {},
+            ),
+            (["family", _readme_with(["unit_seeds", "k1"], "17"), "a"], {}),
+            (["family", _readme_with(["fields", 0, "p"], "3"), "a"], {}),
+            (["family", _readme_with(["declared", "ratio_valuations", "0", "c"], "0"), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", "01"], {}), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", "-1"], {}), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", " 0"], {}), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", "\u0661"], {}), "a"], {}),
+            (["family", _readme_with(["declared", "type_traces", "\u00b2"], {}), "a"], {}),
         ],
         ids=[
             "segment-start",
@@ -291,6 +307,18 @@ class TestMalformedNumbers:
             "family-closed-set-string",
             "seg-output-missing-dir",
             "family-report-missing-dir",
+            "seg-len-string",
+            "wd-start-string",
+            "wd-block-size-string",
+            "dims-q-f-string",
+            "family-unit-seed-string",
+            "family-field-p-string",
+            "family-declared-value-string",
+            "family-declared-index-leading-zero",
+            "family-declared-index-negative",
+            "family-declared-index-space",
+            "family-declared-index-arabic-digit",
+            "family-declared-index-superscript",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
@@ -381,6 +409,16 @@ class TestWd:
         )
         status = main(["wd", doc_in])
         assert status == 1
+
+    def test_huge_block_size_exits_before_listing_blocks(self, capsys):
+        doc_in = _wd_segment(line="A", lines=[{"line_id": "A", "block_size": 10**9}])
+        t0 = time.perf_counter()
+        status = main(["wd", doc_in])
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "error: partition size 2000000000 exceeds bound 64\n"
 
 
 class TestFamily:
@@ -503,6 +541,53 @@ class TestFamilyReportBytes:
         out = capsys.readouterr().out
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSeedReruns:
+    """family --seeds 3 builds each twist witness and each base-change
+    shadow once per (point, slot), for the first run and the reruns
+    together, and the Iwahori factors once per seed pair; the stdout
+    digests were taken while every rerun built its own."""
+
+    @pytest.mark.parametrize(
+        "seed, adversarial, status, digest",
+        [
+            (1, False, 0, "6f167b3b09bf069af865498cda9916d376039edcac014e7dcbeeec814813fb10"),
+            (0, True, 2, "c6d75ad3c59945a28694da48c46058442dedfd06686a3d1dbf16fb73f37dfcf6"),
+        ],
+        ids=["honest", "tampered"],
+    )
+    def test_seed_free_values_once(self, capsys, monkeypatch, seed, adversarial, status, digest):
+        sc, x0, _ = _twist_constant_scenario(random.Random(seed), adversarial=adversarial)
+        parsed, witnesses, shadows, factors = [], [], [], []
+
+        def counting(real, record):
+            def wrapper(*args):
+                out = real(*args)
+                record(out, *args)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(fam, "scenario_from_json", counting(
+            fam.scenario_from_json, lambda out, doc: parsed.append(out)))
+        monkeypatch.setattr(fam, "twist_comparison_witness", counting(
+            fam.twist_comparison_witness, lambda out, s0, s: witnesses.append(id(s))))
+        monkeypatch.setattr(fam, "base_change_shadow", counting(
+            fam.base_change_shadow, lambda out, s: shadows.append(id(s))))
+        monkeypatch.setattr(fam, "iwahori_trace", counting(
+            fam.iwahori_trace, lambda out, s, n, seed: factors.append(seed)))
+        argv = ["family", json.dumps(scenario_to_json(sc)), x0, "--seeds", "3"]
+        assert main(argv) == status
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+        slot_of = {id(s): (x, i) for x, per_field in parsed[0].assignment.items()
+                   for i, s in enumerate(per_field)}
+        assert len(slot_of) == len(sc.sigma) * len(sc.fields)
+        assert sorted(map(slot_of.get, witnesses)) == sorted(slot_of.values())
+        assert len(set(shadows)) == len(shadows) and set(shadows) <= set(slot_of)
+        per_seed = Counter(factors)
+        assert len(per_seed) == 3 and len(set(per_seed.values())) == 1
 
 
 def _seg_doc(*segments, lines=()):
