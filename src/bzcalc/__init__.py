@@ -8,7 +8,6 @@ from .segments import (
     Segment,
     admissible_order,
     downward_closure,
-    elementary_children,
     elementary_edges,
     is_linked,
     leq,
@@ -17,7 +16,6 @@ from .segments import (
     precedes,
     statistic,
     support,
-    twist_orbit_equal,
 )
 from .dimensions import (
     Composition,
@@ -35,10 +33,8 @@ from .dimensions import (
 from .weildeligne import (
     JordanPartition,
     WDShadow,
-    direct_sum,
     exp_nilpotent,
     nonzero_count_exp,
-    sp_partition,
     wd_from_multisegment,
 )
 from .family import (
@@ -56,7 +52,6 @@ from .family import (
     scenario_from_json,
     scenario_to_json,
     type_trace,
-    validate_site,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

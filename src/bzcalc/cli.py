@@ -206,15 +206,12 @@ def cmd_seg(args) -> int:
     if args.statistic:
         out["statistic"] = seg.statistic(s)
     if args.order:
-        out["order"] = [
-            seg.multisegment_to_json(seg.Multisegment([g]))["segments"][0]
-            for g in seg.admissible_order(s)
-        ]
+        out["order"] = [seg.segment_to_json(g) for g in seg.admissible_order(s)]
     # Every child and every closure node has the support of s, hence its
     # lines; so their documents differ only in "segments", and they sort by
     # the JSON text of "segments" as they would by the whole document's.
     if args.children:
-        children = sorted(seg.elementary_children(s), key=seg._segments_json)
+        children = sorted(seg.elementary_edges(s), key=seg._segments_json)
         out["children"] = _multisegments(children, out["multisegment"]["lines"])
     if args.closure:
         closure = seg.closure_edges(s)
@@ -315,6 +312,8 @@ def cmd_wd(args) -> int:
 
 
 def cmd_family(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
     sc = fam.scenario_from_json(_load_json(args.scenario))
     report = fam.run_pipeline(sc, args.x0)
     if args.seeds:
@@ -427,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument(
         "--seeds", type=int, metavar="K",
-        help="rerun under K seed choices and require identical verdicts",
+        help="run under K seed pairs, the document's and K - 1 fresh ones, "
+        "and require identical verdicts",
     )
     p.set_defaults(handler="cmd_family")
 

@@ -27,13 +27,14 @@ from .segments import (
     _json_int,
     _json_typed,
     leq,
+    line_to_json,
     lines_from_json,
     multisegment_from_json,
     multisegment_to_json,
+    segment_to_json,
     statistic,
     support,
     twist_orbit,
-    twist_orbit_equal,
 )
 from .dimensions import PrimePower, _decimal, vp
 from .weildeligne import monodromy_weight
@@ -59,9 +60,10 @@ class FiniteSite:
         )
 
     @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        """site_violations, checked once per site: every with_seeds copy of
-        a scenario shares its site."""
+    def violations(self) -> tuple[str, ...]:
+        """Instances of violated closed-set axioms, empty iff the site is
+        valid.  Checked once per site: every with_seeds copy of a scenario
+        shares its site."""
         problems = []
         if frozenset() not in self.closed_sets:
             problems.append("empty set is not closed")
@@ -80,15 +82,6 @@ class FiniteSite:
                         f"intersection {sorted(a)} & {sorted(b)} is not closed"
                     )
         return tuple(problems)
-
-
-def site_violations(site: FiniteSite) -> list[str]:
-    """Instances of violated closed-set axioms, empty iff the site is valid."""
-    return list(site._violations)
-
-
-def validate_site(site: FiniteSite) -> bool:
-    return not site_violations(site)
 
 
 def closure(site: FiniteSite, subset: frozenset[str]) -> frozenset[str]:
@@ -119,9 +112,6 @@ class SimulatedTrace:
     site: FiniteSite
     values: tuple[tuple[str, int], ...]
     label: str
-
-    def value(self, x: str) -> int:
-        return dict(self.values)[x]
 
     @classmethod
     def from_sigma(
@@ -390,7 +380,7 @@ class FamilyScenario:
 
 
 def scenario_violations(sc: FamilyScenario) -> list[str]:
-    problems = site_violations(sc.site)
+    problems = list(sc.site.violations)
     if not sc.sigma <= sc.site.points:
         problems.append("sigma is not a subset of the space")
     elif not is_dense(sc.site, sc.sigma):
@@ -520,12 +510,12 @@ def _certify_point(
     sc: FamilyScenario,
     x0: str,
     x: str,
-    used_traces: Mapping[tuple[str, int], tuple[int, int]],
     valuation: Callable[[str, int], int],
 ) -> dict:
     """Compare the traces computed at x from the assignments against the
-    values used to build the locus; any mismatch, or a comparable point with
-    equal valuation but a different twist orbit, is a violation.
+    values used to build the locus (the declared value where there is one);
+    any mismatch, or a comparable point with equal valuation but a
+    different twist orbit, is a violation.
 
     valuation gives the ratio valuation of a (point, slot), as computed by
     run_pipeline."""
@@ -538,7 +528,8 @@ def _certify_point(
         computed_t = 1 if witness is not None else 0
         computed_rv = valuation(x, i)
         rv_x0 = valuation(x0, i)
-        used_t, used_rv = used_traces[(x, i)]
+        used_t = sc.declared_type_traces.get(i, {}).get(x, computed_t)
+        used_rv = sc.declared_ratio_valuations.get(i, {}).get(x, computed_rv)
         entry = {
             "field": i,
             "type_trace": computed_t,
@@ -567,7 +558,7 @@ def _certify_point(
                 break
         else:
             # Inside the locus both traces match the base point's values.
-            if not twist_orbit_equal(s, s0):
+            if twist_orbit(s) != twist_orbit(s0):
                 problems.append(
                     {
                         "reason": "comparable point with equal valuation but a "
@@ -610,9 +601,6 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
     log: list = []
     nf = len(sc.fields)
-    used_traces: dict[tuple[str, int], list] = {
-        (x, i): [None, None] for x in sc.sigma for i in range(nf)
-    }
     valuations: dict[tuple[str, int], tuple[int, dict]] = {}
 
     def valuation(x: str, j: int) -> int:
@@ -632,7 +620,6 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
             computed = 1 if sc._witness(x0, x, i) is not None else 0
             value = declared.get(x, computed)
             sigma_vals[x] = value
-            used_traces[(x, i)][0] = value
             log.append(
                 {
                     "stage": "type_trace",
@@ -650,20 +637,15 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     for j in range(nf):
         sub = subspace(sc.site, locus)
         declared = sc.declared_ratio_valuations.get(j, {})
-        sigma_vals = {}
-        for x in sorted(locus & sc.sigma):
-            computed = valuation(x, j)
-            value = declared.get(x, computed)
-            sigma_vals[x] = value
-            used_traces[(x, j)][1] = value
+        # a declared point's valuation is still computed: it is in the log
+        sigma_vals = {x: declared.get(x, valuation(x, j)) for x in sorted(locus & sc.sigma)}
         trace = SimulatedTrace.from_sigma(
             sub, sigma_vals, f"ratio valuation, field {j}"
         )
         locus = clopen_locus(trace, x0)
 
-    used = {k: tuple(v) for k, v in used_traces.items()}
     verdicts = tuple(
-        _certify_point(sc, x0, x, used, valuation)
+        _certify_point(sc, x0, x, valuation)
         for x in sorted(locus & sc.sigma)
     )
     return RigidityReport(
@@ -762,19 +744,9 @@ def scenario_to_json(sc: FamilyScenario) -> dict:
             (sorted(c) for c in sc.site.closed_sets), key=lambda c: (len(c), c)
         ),
         "sigma": sorted(sc.sigma),
-        "lines": [
-            {
-                "line_id": l.line_id,
-                "block_size": l.block_size,
-                "inertial_label": l.inertial_label,
-            }
-            for l in lines
-        ],
+        "lines": [line_to_json(l) for l in lines],
         "assignment": {
-            x: [
-                {"segments": multisegment_to_json(s)["segments"]}
-                for s in per_field
-            ]
+            x: [{"segments": [segment_to_json(g) for g in s]} for s in per_field]
             for x, per_field in sorted(sc.assignment.items())
         },
         "unit_seeds": dict(sorted(sc.unit_seeds.items())),

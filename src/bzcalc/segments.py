@@ -215,11 +215,6 @@ def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]
     return out
 
 
-def elementary_children(s: Multisegment) -> frozenset[Multisegment]:
-    """The set of multisegments obtainable from s by one elementary operation."""
-    return frozenset(elementary_edges(s))
-
-
 def statistic(s: Multisegment) -> int:
     """Sum of length*(length-1)/2 over the segments of s."""
     return sum(seg.length * (seg.length - 1) // 2 for seg in s)
@@ -275,14 +270,9 @@ def leq(s0: Multisegment, s: Multisegment) -> bool:
 
 
 def twist_orbit(s: Multisegment) -> Counter:
-    """The bag of (inertial_label, length) pairs: the invariant of per-segment
-    unramified twisting."""
+    """The bag of (inertial_label, length) pairs: t is obtainable from s by
+    twisting each segment independently iff twist_orbit(s) == twist_orbit(t)."""
     return Counter((seg.line.inertial_label, seg.length) for seg in s)
-
-
-def twist_orbit_equal(s: Multisegment, t: Multisegment) -> bool:
-    """True iff t is obtainable from s by twisting each segment independently."""
-    return twist_orbit(s) == twist_orbit(t)
 
 
 # --- JSON form -------------------------------------------------------------
@@ -356,26 +346,23 @@ def multisegment_from_json(
     return Multisegment(segs)
 
 
+def line_to_json(line: CuspidalLine) -> dict:
+    return {
+        "line_id": line.line_id,
+        "block_size": line.block_size,
+        "inertial_label": line.inertial_label,
+    }
+
+
+def segment_to_json(seg: Segment) -> dict:
+    return {"line": seg.line.line_id, "coset": seg.coset, "start": seg.start, "len": seg.length}
+
+
 def multisegment_to_json(s: Multisegment) -> dict:
     lines = sorted({seg.line for seg in s}, key=lambda l: l.line_id)
     return {
-        "lines": [
-            {
-                "line_id": l.line_id,
-                "block_size": l.block_size,
-                "inertial_label": l.inertial_label,
-            }
-            for l in lines
-        ],
-        "segments": [
-            {
-                "line": seg.line.line_id,
-                "coset": seg.coset,
-                "start": seg.start,
-                "len": seg.length,
-            }
-            for seg in s.segments
-        ],
+        "lines": [line_to_json(l) for l in lines],
+        "segments": [segment_to_json(seg) for seg in s.segments],
     }
 
 

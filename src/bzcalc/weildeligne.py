@@ -80,13 +80,6 @@ class RationalMatrix:
         )
 
 
-def sp_partition(n: int) -> JordanPartition:
-    """The monodromy partition of a single length-n special block."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return JordanPartition((n,))
-
-
 def wd_from_multisegment(s: Multisegment) -> WDShadow:
     """Each segment of length l on a block-m line contributes m Jordan blocks
     of size l and one inertia summand of dimension m*l."""
@@ -97,13 +90,6 @@ def wd_from_multisegment(s: Multisegment) -> WDShadow:
         blocks.extend([seg.length] * m)
         inertia.append((seg.line.inertial_label, m * seg.length))
     return WDShadow(inertia, JordanPartition(blocks))
-
-
-def direct_sum(a: WDShadow, b: WDShadow) -> WDShadow:
-    return WDShadow(
-        a.inertia + b.inertia,
-        JordanPartition(a.partition.blocks + b.partition.blocks),
-    )
 
 
 def exp_nilpotent(p: JordanPartition) -> RationalMatrix:
@@ -159,26 +145,8 @@ def monodromy_weight(s: Multisegment) -> int:
 # --- JSON form -------------------------------------------------------------
 
 
-def partition_to_json(p: JordanPartition) -> dict:
-    return {"blocks": list(p.blocks)}
-
-
-def partition_from_json(doc: dict) -> JordanPartition:
-    try:
-        return JordanPartition(doc["blocks"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"bad partition {doc!r}: {exc}") from exc
-
-
 def wd_to_json(w: WDShadow) -> dict:
-    out = partition_to_json(w.partition)
-    out["inertia"] = [{"label": l, "dim": d} for l, d in w.inertia]
-    return out
-
-
-def wd_from_json(doc: dict) -> WDShadow:
-    try:
-        inertia = [(e["label"], e["dim"]) for e in doc.get("inertia", [])]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"bad inertia data {doc!r}: {exc}") from exc
-    return WDShadow(inertia, partition_from_json(doc))
+    return {
+        "blocks": list(w.partition.blocks),
+        "inertia": [{"label": l, "dim": d} for l, d in w.inertia],
+    }

@@ -283,6 +283,8 @@ class TestMalformedNumbers:
             (["family", _readme_with(["declared", "type_traces", " 0"], {}), "a"], {}),
             (["family", _readme_with(["declared", "type_traces", "\u0661"], {}), "a"], {}),
             (["family", _readme_with(["declared", "type_traces", "\u00b2"], {}), "a"], {}),
+            (["family", readme_scenario(), "a", "--seeds", "0"], {}),
+            (["family", readme_scenario(), "a", "--seeds", "-3"], {}),
         ],
         ids=[
             "segment-start",
@@ -319,6 +321,8 @@ class TestMalformedNumbers:
             "family-declared-index-space",
             "family-declared-index-arabic-digit",
             "family-declared-index-superscript",
+            "family-seeds-zero",
+            "family-seeds-negative",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
@@ -519,27 +523,39 @@ def _tampered_family_argv(rng):
 
 
 class TestFamilyReportBytes:
-    """sha256 of the family report on stdout, fixed before the pipeline
-    evaluated each valuation and witness once per (point, slot)."""
+    """sha256 of the family report on stdout.  readme and tampered were
+    taken before the pipeline evaluated each valuation and witness once per
+    (point, slot); readme-declared-agrees before the certification step
+    read the declared values from the scenario."""
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, status, digest",
         [
             (
                 ["family", readme_scenario(), "a", "--seeds", "2"],
+                2,
                 "a819afd6f8778069f65291fdfa2b654ebb1e1127e54c3fdc21b64b87a92fbe4c",
             ),
             (
                 _tampered_family_argv(random.Random(0)),
+                2,
                 "c6d75ad3c59945a28694da48c46058442dedfd06686a3d1dbf16fb73f37dfcf6",
             ),
+            # b's declared values are the computed ones: X0 = [a, b], both
+            # certified, and b's type-trace log entry says "declared": true
+            (
+                ["family", _readme_with(["declared"], {
+                    "type_traces": {"0": {"b": 1}}, "ratio_valuations": {"0": {"b": 0}},
+                }), "a", "--seeds", "2"],
+                0,
+                "839c8854280d76f7ab9617fe1aa8577489196d055fd81a336fc9627753ecb385",
+            ),
         ],
-        ids=["readme", "tampered"],
+        ids=["readme", "tampered", "readme-declared-agrees"],
     )
-    def test_stdout_digest(self, capsys, argv, digest):
-        status = main(argv)
+    def test_stdout_digest(self, capsys, argv, status, digest):
+        assert main(argv) == status
         out = capsys.readouterr().out
-        assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -748,7 +764,7 @@ def _seg_reference(doc: str) -> str:
             for g in seg.admissible_order(s)
         ],
         "children": [
-            seg.multisegment_to_json(c) for c in sorted(seg.elementary_children(s), key=text)
+            seg.multisegment_to_json(c) for c in sorted(seg.elementary_edges(s), key=text)
         ],
         "closure": {"nodes": [seg.multisegment_to_json(n) for n in nodes], "edges": edges},
     }

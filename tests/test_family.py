@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -26,22 +27,20 @@ from bzcalc.family import (
     scenario_from_json,
     scenario_to_json,
     scenario_violations,
-    site_violations,
     subspace,
     type_trace,
     twist_comparison_witness,
-    validate_site,
 )
 from bzcalc.segments import (
     CuspidalLine,
     Multisegment,
     Segment,
-    elementary_children,
+    elementary_edges,
     leq,
     multisegment_to_json,
     statistic,
     support,
-    twist_orbit_equal,
+    twist_orbit,
 )
 from bzcalc.weildeligne import monodromy_weight
 
@@ -81,32 +80,35 @@ def three_point_scenario():
 
 class TestSite:
     def test_valid_site(self):
-        assert validate_site(THREE_POINT_SITE)
+        assert THREE_POINT_SITE.violations == ()
 
     def test_missing_whole_space(self):
         site = FiniteSite.of(["a", "b"], [[], ["a"]])
-        assert not validate_site(site)
-        assert any("whole space" in v for v in site_violations(site))
+        assert any("whole space" in v for v in site.violations)
 
     def test_violations_are_a_new_list_per_call(self):
-        # scenario_violations appends to the list it gets back
-        site = FiniteSite.of(["a", "b"], [[], ["a"], ["b"]])
-        first = site_violations(site)
+        # the site's check is cached as a tuple; scenario_violations appends
+        # to a fresh list copied from it
+        site = FiniteSite.of(["a", "b", "c"], [[], ["c"]])
+        sc = replace(three_point_scenario(), site=site)
+        assert isinstance(site.violations, tuple)
+        first = scenario_violations(sc)
+        assert first == list(site.violations) and "whole space is not closed" in first
         first.append("extra")
-        assert site_violations(site) == first[:-1]
-        assert "extra" not in first[:-1] and "whole space is not closed" in first
+        second = scenario_violations(sc)
+        assert second == first[:-1] and second is not first
+        assert site.violations == tuple(second)
 
     def test_union_axiom_violation(self):
         site = FiniteSite.of(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])
-        assert not validate_site(site)
-        assert any("union" in v for v in site_violations(site))
+        assert any("union" in v for v in site.violations)
 
     def test_closure(self):
         assert closure(THREE_POINT_SITE, frozenset({"a"})) == frozenset({"a", "b"})
 
     def test_subspace_is_a_site(self):
         sub = subspace(THREE_POINT_SITE, frozenset({"a", "b"}))
-        assert validate_site(sub)
+        assert sub.violations == ()
 
 
 class TestDensity:
@@ -141,7 +143,7 @@ class TestSimulatedTrace:
 
     def test_extension_fills_non_dense_points(self):
         trace = SimulatedTrace.from_sigma(THREE_POINT_SITE, {"a": 1, "c": 0}, "t")
-        assert trace.value("b") == 1
+        assert dict(trace.values)["b"] == 1
 
 
 class TestTypeTrace:
@@ -173,7 +175,7 @@ class TestTypeTrace:
         witness = twist_comparison_witness(s0, s)
         assert witness is not None
         assert support(witness) == support(s)
-        assert twist_orbit_equal(witness, s0)
+        assert twist_orbit(witness) == twist_orbit(s0)
 
 
 def _witness_by_every_order(s0, s):
@@ -232,7 +234,7 @@ def _witness_case(rng):
     )
     below = s
     for _ in range(rng.randrange(4)):
-        children = sorted(elementary_children(below), key=repr)
+        children = sorted(elementary_edges(below), key=repr)
         if children:
             below = rng.choice(children)
     if rng.random() < 0.2:

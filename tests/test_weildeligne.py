@@ -10,15 +10,10 @@ from bzcalc.weildeligne import (
     JordanPartition,
     RationalMatrix,
     WDShadow,
-    direct_sum,
     exp_nilpotent,
     monodromy_weight,
     nonzero_count_exp,
-    partition_from_json,
     partition_statistic,
-    partition_to_json,
-    sp_partition,
-    wd_from_json,
     wd_from_multisegment,
     wd_to_json,
 )
@@ -104,16 +99,6 @@ def _jordan_blocks_from_ranks(mat):
         count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
         blocks.extend([k] * count)
     return JordanPartition(blocks)
-
-
-class TestSpPartition:
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_single_block(self, n):
-        assert sp_partition(n) == JordanPartition((n,))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            sp_partition(0)
 
 
 class TestWdFromMultisegment:
@@ -242,37 +227,20 @@ class TestNonzeroCount:
         assert nonzero_count_exp(p) == monodromy_weight(s) == 6
 
 
-class TestDirectSum:
-    def _shadow(self, blocks, label="unr"):
-        return WDShadow([(label, sum(blocks))], JordanPartition(blocks))
-
-    def test_example(self):
-        out = direct_sum(self._shadow((3,)), self._shadow((1,)))
-        assert out.partition == JordanPartition((3, 1))
-
-    def test_identity(self):
-        empty = WDShadow([], JordanPartition(()))
-        x = self._shadow((2, 2))
-        assert direct_sum(x, empty) == x
-
-    def test_commutative_associative(self):
-        a, b, c = self._shadow((3,)), self._shadow((2,), "x"), self._shadow((1, 1), "y")
-        assert direct_sum(a, b) == direct_sum(b, a)
-        assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-
-
 class TestShadowValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
             WDShadow([("unr", 2)], JordanPartition((3,)))
 
+    def test_nonpositive_block_rejected(self):
+        with pytest.raises(DomainError):
+            JordanPartition((2, 0))
+
 
 class TestJson:
-    def test_partition_round_trip(self):
-        p = JordanPartition((3, 1))
-        assert partition_from_json(partition_to_json(p)) == p
-        assert partition_to_json(p) == {"blocks": [3, 1]}
-
-    def test_shadow_round_trip(self):
+    def test_shadow_document(self):
         w = WDShadow([("unr", 1), ("ram", 3)], JordanPartition((2, 1, 1)))
-        assert wd_from_json(wd_to_json(w)) == w
+        assert wd_to_json(w) == {
+            "blocks": [2, 1, 1],
+            "inertia": [{"label": "ram", "dim": 3}, {"label": "unr", "dim": 1}],
+        }
