@@ -6,6 +6,12 @@ pair; a multisegment is a finite bag of segments.  Merging a linked pair into
 operations generate a partial order on multisegments with a fixed support.
 Every value here is immutable and every function is pure.
 
+Canonical order sorts the segments of a multisegment by line, then coset,
+then (start, length), so each (line, coset) group is one contiguous run.
+Segments of different runs are never linked, so elementary_edges pairs
+segments only inside a run, on their integer endpoints, trying the pairs
+(i, j), i < j, in lexicographic order of canonical position.
+
 CuspidalLine, Segment and Multisegment compute their hash once, when they
 are built: the value the dataclass would compute on every call.  A hash of
 str fields changes with PYTHONHASHSEED, so the cached value never travels:
@@ -13,7 +19,6 @@ pickling and copying rebuild a value through its constructor.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -183,35 +188,48 @@ def support(s: Multisegment) -> Counter:
     return bag
 
 
-def _merge_pair(a: Segment, b: Segment) -> tuple[Segment, Segment | None, int]:
-    """(union, intersection or None, overlap size) for a linked pair."""
-    lo, hi = min(a.start, b.start), max(a.end, b.end)
-    union = Segment(a.line, a.coset, lo, hi - lo)
-    ilo, ihi = max(a.start, b.start), min(a.end, b.end)
-    inter = Segment(a.line, a.coset, ilo, ihi - ilo) if ihi > ilo else None
-    return union, inter, max(0, ihi - ilo)
-
-
 def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]]:
     """Children reachable by one elementary operation, with (a, b, c) data.
 
     (a, b) are the merged pair's lengths and c their overlap; the statistic
     delta of the edge is (a - c)(b - c).  Deduplicated as bags; the delta is
-    determined by (parent, child), so any generating pair may be recorded.
+    determined by (parent, child), so each child keeps the data of its first
+    generating pair.  Pairs (i, j), i < j, are tried in lexicographic order
+    of their positions in the canonical tuple.
+
+    Only segments of one (line, coset) run can be linked, and in canonical
+    order a run is sorted by (start, length).  So with a0 <= b0, the pair
+    [a0, a1), [b0, b1) is linked iff a0 < b0 <= a1 < b1; its union is
+    [a0, b1), its intersection [b0, a1) when b0 < a1, and c = a1 - b0.
     """
     segs = s.segments
+    n = len(segs)
     out: dict[Multisegment, tuple[int, int, int]] = {}
-    for i, j in itertools.combinations(range(len(segs)), 2):
-        a, b = segs[i], segs[j]
-        if not is_linked(a, b):
-            continue
-        union, inter, overlap = _merge_pair(a, b)
-        rest = [segs[k] for k in range(len(segs)) if k not in (i, j)]
-        rest.append(union)
-        if inter is not None:
-            rest.append(inter)
-        child = Multisegment(rest)
-        out.setdefault(child, (a.length, b.length, overlap))
+    starts = [g.start for g in segs]
+    ends = [g.start + g.length for g in segs]
+    hi = 0
+    for i in range(n - 1):
+        a = segs[i]
+        if i == hi:
+            # hi becomes the end of the (line, coset) run that starts at i.
+            line, coset = a.line, a.coset
+            hi = i + 1
+            while hi < n and segs[hi].coset == coset and (
+                    segs[hi].line is line or segs[hi].line == line):
+                hi += 1
+        a0, a1 = starts[i], ends[i]
+        for j in range(i + 1, hi):
+            b0 = starts[j]
+            if b0 > a1:
+                break
+            b1 = ends[j]
+            if not a0 < b0 <= a1 < b1:
+                continue
+            merged = (Segment(a.line, a.coset, a0, b1 - a0),)
+            if b0 < a1:
+                merged += (Segment(a.line, a.coset, b0, a1 - b0),)
+            child = Multisegment(segs[:i] + segs[i + 1:j] + segs[j + 1:] + merged)
+            out.setdefault(child, (a1 - a0, b1 - b0, a1 - b0))
     return out
 
 
@@ -302,6 +320,12 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _declare(table: dict[str, CuspidalLine], line: CuspidalLine) -> None:
+    """Add line to table, unless the table holds a different line of its id."""
+    if table.setdefault(line.line_id, line) != line:
+        raise DomainError(f"conflicting declarations for line {line.line_id!r}")
+
+
 def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
     table: dict[str, CuspidalLine] = {}
     for entry in _json_typed(doc, list, '"lines"'):
@@ -317,9 +341,7 @@ def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad line declaration {entry!r}: {exc}") from exc
-        if line.line_id in table and table[line.line_id] != line:
-            raise DomainError(f"conflicting declarations for line {line.line_id!r}")
-        table[line.line_id] = line
+        _declare(table, line)
     return table
 
 
@@ -328,7 +350,8 @@ def multisegment_from_json(
 ) -> Multisegment:
     _json_typed(doc, dict, "a multisegment")
     table = dict(lines) if lines else {}
-    table.update(lines_from_json(doc.get("lines", [])))
+    for line in lines_from_json(doc.get("lines", [])).values():
+        _declare(table, line)
     segs = []
     for entry in _json_typed(doc.get("segments", []), list, '"segments"'):
         _json_typed(entry, dict, "a segment")

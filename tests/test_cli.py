@@ -477,6 +477,56 @@ class TestFamily:
         assert status == 1
 
 
+A_BLOCK_1 = {"line_id": "A", "block_size": 1, "inertial_label": "unr"}
+A_BLOCK_2 = {"line_id": "A", "block_size": 2, "inertial_label": "unr"}
+
+
+def _two_point_doc(top=(), a=(), b=()):
+    """A scenario on points a and b of ambient size 2 when line A has block
+    size 1 at a and 2 at b: a holds [0, 1) and [1, 2) on A, b holds [0, 1).
+    top, a and b declare lines at the top level and in each point's
+    multisegment."""
+    def segment(start, length):
+        return {"line": "A", "coset": "c0", "start": start, "len": length}
+
+    return {
+        "fields": [{"p": 3, "f": 1}],
+        "points": ["a", "b"],
+        "closed_sets": [[], ["a", "b"]],
+        "sigma": ["a", "b"],
+        "lines": list(top),
+        "assignment": {
+            "a": [{"lines": list(a), "segments": [segment(0, 1), segment(1, 1)]}],
+            "b": [{"lines": list(b), "segments": [segment(0, 1)]}],
+        },
+        "unit_seeds": {"k1": 17, "iwahori": 5},
+    }
+
+
+class TestLineDeclarations:
+    """A point's multisegment may re-declare a top-level line only as the
+    same line."""
+
+    def test_conflict_exits_one_with_one_line(self, capsys):
+        """Point b re-declares the top-level line A with another block size."""
+        doc = _two_point_doc(top=[A_BLOCK_1], b=[A_BLOCK_2])
+        status = main(["family", json.dumps(doc), "a"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed scenario: conflicting declarations for line 'A'\n"
+        )
+
+    def test_equal_declarations_round_trip(self):
+        sc = fam.scenario_from_json(
+            _two_point_doc(top=[A_BLOCK_1], a=[A_BLOCK_1], b=[A_BLOCK_1])
+        )
+        again = scenario_to_json(sc)
+        assert again["lines"] == [A_BLOCK_1]
+        assert fam.scenario_from_json(again) == sc
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["seg", MS_SINGLETONS, "--closure", "--statistic", "--order"]

@@ -148,6 +148,100 @@ class TestElementaryOperations:
                     assert (a - c) * (b - c) > 0
 
 
+def _pairwise_edges(s):
+    """elementary_edges as first written, the oracle of the within-run
+    kernel: every pair (i, j), i < j, that is_linked accepts, merged into its
+    union and intersection."""
+    segs = s.segments
+    out = {}
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        a, b = segs[i], segs[j]
+        if not is_linked(a, b):
+            continue
+        rest = [segs[k] for k in range(len(segs)) if k not in (i, j)]
+        lo, hi = min(a.start, b.start), max(a.end, b.end)
+        rest.append(Segment(a.line, a.coset, lo, hi - lo))
+        ilo, ihi = max(a.start, b.start), min(a.end, b.end)
+        if ihi > ilo:
+            rest.append(Segment(a.line, a.coset, ilo, ihi - ilo))
+        out.setdefault(Multisegment(rest), (a.length, b.length, max(0, ihi - ilo)))
+    return out
+
+
+RHO2 = CuspidalLine("rho", 2, "rho")
+A_X = CuspidalLine("A", 1, "x")
+A_Y = CuspidalLine("A", 1, "y")
+B = CuspidalLine("B")
+
+# (line, coset, start, length) of each segment, not in canonical order.
+HAND_BUILT = {
+    "two-lines-two-cosets-interleaved": [
+        (UNR, "c1", 1, 2), (B, "c0", 0, 1), (UNR, "c0", 0, 2), (B, "c1", 1, 1),
+        (UNR, "c1", 0, 2), (B, "c0", 1, 1), (UNR, "c0", 2, 1), (B, "c1", 0, 2),
+    ],
+    "block-two-line": [(RHO2, "c0", 0, 2), (RHO2, "c0", 1, 2), (RHO2, "c0", 3, 1)],
+    "one-line-id-two-labels": [
+        (A_Y, "c0", 1, 2), (A_X, "c0", 0, 1), (A_Y, "c0", 0, 2), (A_X, "c0", 1, 2),
+    ],
+    "negative-starts": [
+        (UNR, "c0", -3, 2), (UNR, "c0", -2, 2), (UNR, "c0", -1, 1), (UNR, "c0", 0, 1),
+    ],
+    "duplicates": [
+        (UNR, "c0", 0, 2), (UNR, "c0", 1, 2), (UNR, "c0", 0, 2), (UNR, "c0", 1, 2),
+        (UNR, "c0", 2, 1),
+    ],
+    "nested-equal-starts": [
+        (UNR, "c0", 0, 1), (UNR, "c0", 0, 2), (UNR, "c0", 0, 3), (UNR, "c0", 1, 1),
+        (UNR, "c0", 1, 3),
+    ],
+    "adjacent": [(UNR, "c0", 0, 1), (UNR, "c0", 1, 1), (UNR, "c0", 2, 2), (UNR, "c0", 4, 1)],
+}
+
+
+class TestKernelOracle:
+    """elementary_edges, which pairs segments only inside their (line, coset)
+    run, against _pairwise_edges: the same children with the same (a, b, c),
+    in the same order."""
+
+    @staticmethod
+    def _check(s):
+        assert list(elementary_edges(s).items()) == list(_pairwise_edges(s).items())
+
+    @pytest.mark.parametrize(
+        "m,mu", [(m, mu) for m in range(1, 9) for mu in range(1, 8 // m + 1)]
+    )
+    def test_every_multisegment_of_one_support(self, m, mu):
+        for s in multisegments_with_support(m, mu):
+            self._check(s)
+
+    @pytest.mark.parametrize("specs", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_hand_built(self, specs):
+        s = Multisegment(Segment(*spec) for spec in specs)
+        assert elementary_edges(s)
+        self._check(s)
+
+    @pytest.mark.parametrize(
+        "m,mu", [(m, mu) for m in range(1, 7) for mu in range(1, 6 // m + 1)]
+    )
+    def test_one_construction_per_linked_pair(self, monkeypatch, m, mu):
+        """Every child is built by the one Multisegment constructor, once per
+        linked pair, duplicates included."""
+        pool = multisegments_with_support(m, mu)
+        inits = []
+        real_init = Multisegment.__init__
+
+        def counting(self, segments):
+            inits.append(1)
+            real_init(self, segments)
+
+        monkeypatch.setattr(Multisegment, "__init__", counting)
+        for s in pool:
+            inits.clear()
+            elementary_edges(s)
+            linked = sum(is_linked(a, b) for a, b in itertools.combinations(s, 2))
+            assert len(inits) == linked, s
+
+
 class TestPartialOrder:
     def test_one_step(self):
         assert leq(ms((0, 2)), ms((0, 1), (1, 1)))
@@ -291,6 +385,16 @@ class TestJson:
         only = s.segments[0]
         assert only.line.block_size == 1
         assert only.line.inertial_label == "A"
+
+    def test_document_line_conflicting_with_the_table_rejected(self):
+        doc = {
+            "lines": [{"line_id": "A", "block_size": 2}],
+            "segments": [{"line": "A", "coset": "c0", "start": 0, "len": 1}],
+        }
+        with pytest.raises(DomainError, match="conflicting declarations for line 'A'"):
+            multisegment_from_json(doc, {"A": CuspidalLine("A")})
+        same = multisegment_from_json(doc, {"A": CuspidalLine("A", 2)})
+        assert same.segments[0].line == CuspidalLine("A", 2)
 
     def test_malformed_segment_rejected(self):
         with pytest.raises(DomainError):
