@@ -12,9 +12,10 @@ from pathlib import Path
 
 from .exceptions import DomainError, ModelViolation
 from . import dimensions as dims
-from . import family as fam
 from . import segments as seg
-from . import weildeligne as wd
+
+# family and weildeligne are imported by the subcommands that run them, so
+# seg, dims and identity-check never compile them.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -290,6 +291,8 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_wd(args) -> int:
+    from . import weildeligne as wd
+
     s = seg.multisegment_from_json(_load_json(args.input))
     n = s.total_size  # checked before wd_from_multisegment lists every block
     if n > wd.DEFAULT_EXP_BOUND:
@@ -312,6 +315,8 @@ def cmd_wd(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import family as fam
+
     if args.seeds is not None and args.seeds < 1:
         raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
     sc = fam.scenario_from_json(_load_json(args.scenario))
@@ -330,6 +335,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import weildeligne as wd
+
     checks = []
 
     def check(name: str, passed: bool) -> None:
@@ -377,6 +384,8 @@ def cmd_selftest(args) -> int:
 
 
 def _partitions(n: int, largest: int | None = None):
+    from . import weildeligne as wd
+
     largest = n if largest is None else largest
     if n == 0:
         yield wd.JordanPartition(())

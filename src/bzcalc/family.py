@@ -24,6 +24,7 @@ from .segments import (
     CuspidalLine,
     Multisegment,
     Segment,
+    _declare,
     _json_int,
     _json_typed,
     leq,
@@ -129,7 +130,7 @@ class SimulatedTrace:
         fibers = {v: closure(site, frozenset(xs)) for v, xs in classes.items()}
         total: dict[str, int] = {}
         for v, fiber in sorted(fibers.items()):
-            for x in fiber:
+            for x in sorted(fiber):  # so the certificate does not follow the hash seed
                 if x in total:
                     raise ModelViolation(
                         f"trace {label!r} admits no closed-fiber extension",
@@ -709,6 +710,13 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
             )
             for x, per_field in _json_typed(doc["assignment"], dict, '"assignment"').items()
         }
+        # one line per id across points: a point may re-declare a line, or use
+        # it undeclared, only as the line the other points see (each distinct
+        # line once, in document order)
+        for line in dict.fromkeys(
+            g.line for per_field in assignment.values() for s in per_field for g in s
+        ):
+            _declare(lines, line)
         seeds = {
             k: _json_int(v, f"unit seed {k!r}")
             for k, v in _json_typed(doc["unit_seeds"], dict, '"unit_seeds"').items()

@@ -357,8 +357,11 @@ def multisegment_from_json(
         _json_typed(entry, dict, "a segment")
         try:
             line_id = _json_typed(entry["line"], str, "line")
+            line = table.get(line_id)
+            if line is None:  # undeclared: one default line per id
+                line = table[line_id] = CuspidalLine(line_id)
             seg = Segment(
-                line=table.get(line_id, CuspidalLine(line_id)),
+                line=line,
                 coset=_json_typed(entry.get("coset", "c0"), str, "coset"),
                 start=_json_int(entry["start"], "start"),
                 length=_json_int(entry["len"], "len"),

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bzcalc
 from bzcalc import family as fam, segments as seg
 from bzcalc.cli import _dumps, main
 from bzcalc.family import scenario_to_json
@@ -518,6 +520,26 @@ class TestLineDeclarations:
             "error: malformed scenario: conflicting declarations for line 'A'\n"
         )
 
+    @pytest.mark.parametrize("declaring", ["a", "b"])
+    def test_declared_at_one_point_undeclared_at_the_other(self, capsys, declaring):
+        """Line A has block size 2 where it is declared and the default block
+        size 1 where it is not: one line id, two lines, in either order."""
+        doc = _two_point_doc(**{declaring: [A_BLOCK_2]})
+        status = main(["family", json.dumps(doc), "a"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed scenario: conflicting declarations for line 'A'\n"
+        )
+
+    def test_declaration_equal_to_the_default_parses(self):
+        default_a = {"line_id": "A", "block_size": 1, "inertial_label": "A"}
+        sc = fam.scenario_from_json(_two_point_doc(a=[default_a]))
+        again = scenario_to_json(sc)
+        assert again["lines"] == [default_a]
+        assert fam.scenario_from_json(again) == sc
+
     def test_equal_declarations_round_trip(self):
         sc = fam.scenario_from_json(
             _two_point_doc(top=[A_BLOCK_1], a=[A_BLOCK_1], b=[A_BLOCK_1])
@@ -540,6 +562,33 @@ class TestDeterminism:
         status, doc = run_cli(capsys, "seg", MS_L3, "--statistic")
         again = json.dumps(doc, sort_keys=True)
         assert json.loads(again) == doc
+
+
+    def test_certificate_independent_of_hash_seed(self):
+        """The overlapping-closures certificate names the same point under
+        every hash seed: a's value class closes onto b's."""
+        def segment(start, length):
+            return {"line": "A", "coset": "c0", "start": start, "len": length}
+
+        doc = json.dumps({
+            "fields": [{"p": 3, "f": 1}],
+            "points": ["a", "b"],
+            "closed_sets": [[], ["a", "b"]],
+            "sigma": ["a", "b"],
+            "assignment": {
+                "a": [{"segments": [segment(0, 1), segment(1, 1)]}],
+                "b": [{"segments": [segment(0, 2)]}],
+            },
+            "unit_seeds": {"k1": 17, "iwahori": 5},
+        })
+        runs = [
+            _python("-m", "bzcalc.cli", "family", doc, "a", PYTHONHASHSEED=str(seed))
+            for seed in range(4)
+        ]
+        assert [r.returncode for r in runs] == [2] * 4
+        assert b'"reason": "overlapping value-class closures"' in runs[0].stdout
+        assert b'"point": "a"' in runs[0].stdout
+        assert all(r.stdout == runs[0].stdout for r in runs)
 
 
 class TestSelftest:
@@ -1054,8 +1103,8 @@ class TestDumps:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(*args):
-    env = dict(os.environ)
+def _python(*args, **env_vars):
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, env=env, timeout=120
@@ -1092,3 +1141,89 @@ class TestOptimizedInterpreter:
         optimized = _python("-O", "-m", "bzcalc.cli", *argv)
         assert plain.returncode == optimized.returncode == 0, optimized.stderr
         assert plain.stdout and optimized.stdout == plain.stdout
+
+
+# The public names of the package, by the submodule that defines them.
+PUBLIC = {
+    "segments": [
+        "CuspidalLine", "Multisegment", "Segment", "admissible_order",
+        "downward_closure", "elementary_edges", "is_linked", "leq",
+        "multisegment_from_json", "multisegment_to_json", "precedes", "statistic",
+        "support",
+    ],
+    "dimensions": [
+        "Composition", "PrimePower", "compositions", "elementary_statistic_delta",
+        "gaussian_flag_count", "parabolic_alternating_sum", "standard_module_k1_dim",
+        "steinberg_k1_dim", "triangle_check", "valuation_statistic", "vp",
+    ],
+    "weildeligne": [
+        "JordanPartition", "WDShadow", "exp_nilpotent", "nonzero_count_exp",
+        "wd_from_multisegment",
+    ],
+    "family": [
+        "FamilyScenario", "FiniteSite", "RigidityReport", "SimulatedTrace",
+        "base_change_shadow", "clopen_locus", "is_dense", "iwahori_trace", "k1_trace",
+        "ratio_valuation", "run_pipeline", "scenario_from_json", "scenario_to_json",
+        "type_trace",
+    ],
+    "exceptions": ["DomainError", "ModelViolation"],
+}
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'bzcalc')"
+
+
+def _loaded_after(code: str) -> list:
+    """The bzcalc modules a fresh interpreter holds after running code."""
+    proc = _python("-c", f"import json, sys\n{code}\nprint(json.dumps({LOADED}))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+class TestLazyPackage:
+    """The package imports a submodule when a name from it is first used, and
+    each subcommand imports only the submodules it runs."""
+
+    def test_cli_import_loads_what_seg_and_dims_use(self):
+        assert _loaded_after("import bzcalc.cli") == [
+            "bzcalc", "bzcalc.cli", "bzcalc.dimensions", "bzcalc.exceptions",
+            "bzcalc.segments",
+        ]
+
+    def test_seg_closure_and_dims_skip_family_and_weildeligne(self):
+        dims_doc = json.dumps({"multisegment": json.loads(MS_SINGLETONS), "q": {"p": 2, "f": 1}})
+        loaded = _loaded_after(
+            "import contextlib, io\n"
+            "from bzcalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['seg', {MS_SINGLETONS!r}, '--closure']) == 0\n"
+            f"    assert main(['dims', {dims_doc!r}]) == 0"
+        )
+        assert "bzcalc.family" not in loaded and "bzcalc.weildeligne" not in loaded
+        assert "bzcalc.segments" in loaded and "bzcalc.dimensions" in loaded
+
+    def test_name_loads_its_submodule_once(self):
+        loaded = _loaded_after(
+            "import bzcalc\n"
+            "assert bzcalc.leq is bzcalc.segments.leq\n"
+            "assert 'leq' in vars(bzcalc)\n"
+            "assert set(bzcalc.__all__) <= set(dir(bzcalc))"
+        )
+        assert loaded == ["bzcalc", "bzcalc.exceptions", "bzcalc.segments"]
+
+    def test_all_names_are_the_submodules_objects(self):
+        assert bzcalc.__all__ == sorted([*PUBLIC, *(n for ns in PUBLIC.values() for n in ns)])
+        for module, names in PUBLIC.items():
+            source = importlib.import_module(f"bzcalc.{module}")
+            assert getattr(bzcalc, module) is source
+            for name in names:
+                assert getattr(bzcalc, name) is getattr(source, name), name
+
+    def test_star_import_and_unknown_names(self):
+        namespace: dict = {}
+        exec("from bzcalc import *", namespace)
+        assert set(bzcalc.__all__) <= set(namespace)
+        assert namespace["run_pipeline"] is fam.run_pipeline
+        with pytest.raises(AttributeError, match="'nope'"):
+            bzcalc.nope
+        with pytest.raises(ImportError):
+            exec("from bzcalc import nope", {})
