@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -181,7 +182,7 @@ def _edges(rows: list) -> _Rendered:
 def _emit(doc: dict, output: str | None) -> None:
     text = _dumps(doc)
     if not output:
-        print(text)
+        print(text, flush=True)  # so a closed pipe raises inside main
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
@@ -464,6 +465,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"model violation: {exc}", file=sys.stderr)
         print(_dumps({"certificate": exc.certificate}))
         return EXIT_VIOLATION
+    except BrokenPipeError:
+        # the reader left; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -74,11 +74,16 @@ class FiniteSite:
             if not c <= self.points:
                 problems.append(f"closed set {sorted(c)} is not a subset of the space")
         sets = sorted(self.closed_sets, key=sorted)
-        for a in sets:
-            for b in sets:
-                if a | b not in self.closed_sets:
+        # a set as an int over a sorted index of every point named, so the
+        # axioms cost int | and & rather than a frozenset per pair
+        bit = {x: 1 << k for k, x in enumerate(sorted(self.points.union(*sets)))}
+        masks = [sum(bit[x] for x in c) for c in sets]
+        closed = set(masks)
+        for a, ma in zip(sets, masks):
+            for b, mb in zip(sets, masks):
+                if ma | mb not in closed:
                     problems.append(f"union {sorted(a)} | {sorted(b)} is not closed")
-                if a & b not in self.closed_sets:
+                if ma & mb not in closed:
                     problems.append(
                         f"intersection {sorted(a)} & {sorted(b)} is not closed"
                     )
@@ -328,9 +333,10 @@ class FamilyScenario:
     declared_ratio_valuations: Mapping[int, Mapping[str, int]] = field(
         default_factory=dict
     )
-    # Tables filled on first use.  Shadows by (point, slot) and twist
-    # witnesses by (base point, point, slot) are seed-free and pass to every
-    # with_seeds copy; each copy starts its own Iwahori factors by (point, slot).
+    # Tables filled on first use, keyed by value, since a family repeats a few
+    # multisegments over many points.  Twist witnesses by (s0, s) and shadows
+    # by s are seed-free and pass to every with_seeds copy; each copy starts
+    # its own Iwahori factors by s.
     _shadows: dict = field(default_factory=dict, repr=False, compare=False)
     _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
     _iwahori_factors: dict = field(
@@ -350,34 +356,23 @@ class FamilyScenario:
             for j in range(len(self.fields))
         )
 
-    def _witness(self, x0: str, x: str, i: int) -> Multisegment | None:
-        """twist_comparison_witness of the slot-i multisegments at x0 and x."""
-        key = (x0, x, i)
-        if key not in self._witnesses:
-            self._witnesses[key] = twist_comparison_witness(
-                self.assignment[x0][i], self.assignment[x][i]
-            )
-        return self._witnesses[key]
+    def _witness(self, s0: Multisegment, s: Multisegment) -> Multisegment | None:
+        if (s0, s) not in self._witnesses:
+            self._witnesses[s0, s] = twist_comparison_witness(s0, s)
+        return self._witnesses[s0, s]
 
-    def _shadow(self, x: str, i: int) -> Multisegment:
-        """base_change_shadow of the multisegment at (x, i)."""
-        shadow = self._shadows.get((x, i))
-        if shadow is None:
-            shadow = base_change_shadow(self.assignment[x][i])
-            self._shadows[(x, i)] = shadow
-        return shadow
+    def _shadow(self, s: Multisegment) -> Multisegment:
+        if s not in self._shadows:
+            self._shadows[s] = base_change_shadow(s)
+        return self._shadows[s]
 
-    def _iwahori_factor(self, x: str, i: int) -> int:
-        """iwahori_trace of the shadow at (x, i), under the Iwahori seed."""
-        factor = self._iwahori_factors.get((x, i))
-        if factor is None:
-            factor = iwahori_trace(
-                self._shadow(x, i),
-                self.assignment[x][i].total_size,
-                self.unit_seeds["iwahori"],
+    def _iwahori_factor(self, s: Multisegment) -> int:
+        """iwahori_trace of s's shadow, under the Iwahori seed."""
+        if s not in self._iwahori_factors:
+            self._iwahori_factors[s] = iwahori_trace(
+                self._shadow(s), s.total_size, self.unit_seeds["iwahori"]
             )
-            self._iwahori_factors[(x, i)] = factor
-        return factor
+        return self._iwahori_factors[s]
 
 
 def scenario_violations(sc: FamilyScenario) -> list[str]:
@@ -426,11 +421,11 @@ def ratio_valuation(
     qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
     qsecond = PrimePower(qj.p, 2 * qprime.f)
     k1_seed = sc.unit_seeds["k1"]
-    shadow = sc._shadow(x, j)
+    shadow = sc._shadow(sc.assignment[x][j])
     iw_product = 1
-    for i in range(len(sc.assignment[x])):
+    for i, s in enumerate(sc.assignment[x]):
         if i != j:
-            iw_product *= sc._iwahori_factor(x, i)
+            iw_product *= sc._iwahori_factor(s)
     t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
     t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
     v = vp(t_second, qj.p) - vp(t_prime, qj.p)
@@ -518,14 +513,14 @@ def _certify_point(
     any mismatch, or a comparable point with equal valuation but a
     different twist orbit, is a violation.
 
-    valuation gives the ratio valuation of a (point, slot), as computed by
-    run_pipeline."""
+    valuation gives the ratio valuation at (point, slot) from run_pipeline's
+    table, which is keyed by the point's assignment and the slot."""
     problems = []
     details = []
     for i in range(len(sc.fields)):
         s0 = sc.assignment[x0][i]
         s = sc.assignment[x][i]
-        witness = sc._witness(x0, x, i)
+        witness = sc._witness(s0, s)
         computed_t = 1 if witness is not None else 0
         computed_rv = valuation(x, i)
         rv_x0 = valuation(x0, i)
@@ -587,12 +582,14 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     step 2 shrinks further by constancy of the per-field ratio valuations.
     Every surviving dense point is then certified or flagged.
 
-    Each ratio valuation is computed at most once per (point, slot) in one
-    run, and so is the Iwahori factor that the valuations share.  The twist
-    witnesses and base-change shadows are seed-free: sc keeps them, and its
-    with_seeds copies reuse them.  A valuation that is looked up again
-    appends a shallow copy of its first trace_log entry, so the log lists
-    every lookup as if each had been computed.
+    A family repeats a few multisegments over many points, so every table
+    is keyed by value.  In one run each ratio valuation is computed once per
+    (assignment[x], slot): the whole per-point tuple, since the Iwahori
+    factors of the other slots enter t_prime.  sc keeps the twist witnesses
+    by (s0, s) and the shadows by s for every with_seeds copy, and the
+    Iwahori factors by s for its seeds.  A valuation that is looked up again
+    appends a copy of its first trace_log entry with "point" set to x, so
+    the log reads as if each lookup had been computed.
     """
     problems = scenario_violations(sc)
     if problems:
@@ -602,23 +599,25 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
     log: list = []
     nf = len(sc.fields)
-    valuations: dict[tuple[str, int], tuple[int, dict]] = {}
+    valuations: dict[tuple[tuple, int], tuple[int, dict]] = {}
 
     def valuation(x: str, j: int) -> int:
-        known = valuations.get((x, j))
+        key = (sc.assignment[x], j)
+        known = valuations.get(key)
         if known is not None:
-            log.append(dict(known[1]))
+            log.append({**known[1], "point": x})
             return known[0]
         value = ratio_valuation(sc, x, j, log)
-        valuations[(x, j)] = (value, log[-1])
+        valuations[key] = (value, log[-1])
         return value
 
     locus = sc.site.points
     for i in range(nf):
         declared = sc.declared_type_traces.get(i, {})
         sigma_vals = {}
+        s0 = sc.assignment[x0][i]
         for x in sorted(sc.sigma):
-            computed = 1 if sc._witness(x0, x, i) is not None else 0
+            computed = 1 if sc._witness(s0, sc.assignment[x][i]) is not None else 0
             value = declared.get(x, computed)
             sigma_vals[x] = value
             log.append(

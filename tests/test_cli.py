@@ -659,10 +659,11 @@ class TestFamilyReportBytes:
 
 
 class TestSeedReruns:
-    """family --seeds 3 builds each twist witness and each base-change
-    shadow once per (point, slot), for the first run and the reruns
-    together, and the Iwahori factors once per seed pair; the stdout
-    digests were taken while every rerun built its own."""
+    """family --seeds 3 builds each twist witness once per (s0, s) and each
+    base-change shadow once per multisegment, for the first run and the
+    reruns together, and each Iwahori factor once per multisegment per seed
+    pair; the stdout digests were taken while every rerun built its own, per
+    (point, slot)."""
 
     @pytest.mark.parametrize(
         "seed, adversarial, status, digest",
@@ -686,23 +687,25 @@ class TestSeedReruns:
         monkeypatch.setattr(fam, "scenario_from_json", counting(
             fam.scenario_from_json, lambda out, doc: parsed.append(out)))
         monkeypatch.setattr(fam, "twist_comparison_witness", counting(
-            fam.twist_comparison_witness, lambda out, s0, s: witnesses.append(id(s))))
+            fam.twist_comparison_witness, lambda out, s0, s: witnesses.append((s0, s))))
         monkeypatch.setattr(fam, "base_change_shadow", counting(
-            fam.base_change_shadow, lambda out, s: shadows.append(id(s))))
+            fam.base_change_shadow, lambda out, s: shadows.append(s)))
         monkeypatch.setattr(fam, "iwahori_trace", counting(
-            fam.iwahori_trace, lambda out, s, n, seed: factors.append(seed)))
+            fam.iwahori_trace, lambda out, s, n, seed: factors.append((seed, s))))
         argv = ["family", json.dumps(scenario_to_json(sc)), x0, "--seeds", "3"]
         assert main(argv) == status
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-        slot_of = {id(s): (x, i) for x, per_field in parsed[0].assignment.items()
-                   for i, s in enumerate(per_field)}
-        assert len(slot_of) == len(sc.sigma) * len(sc.fields)
-        assert sorted(map(slot_of.get, witnesses)) == sorted(slot_of.values())
-        assert len(set(shadows)) == len(shadows) and set(shadows) <= set(slot_of)
-        per_seed = Counter(factors)
-        assert len(per_seed) == 3 and len(set(per_seed.values())) == 1
+        assignment = parsed[0].assignment
+        values = {s for per_field in assignment.values() for s in per_field}
+        assert Counter(witnesses) == Counter(
+            {(assignment[x0][i], per_field[i]) for per_field in assignment.values()
+             for i in range(len(sc.fields))})
+        assert len(set(shadows)) == len(shadows) and set(shadows) <= values
+        per_seed = Counter(seed for seed, _ in factors)
+        assert len(per_seed) == 3 and len(set(factors)) == len(factors)
+        assert len(set(per_seed.values())) == 1
 
 
 def _seg_doc(*segments, lines=()):
@@ -1103,11 +1106,15 @@ class TestDumps:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(*args, **env_vars):
+def _env(**env_vars):
     env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(*args, **env_vars):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, env=_env(**env_vars), timeout=120
     )
 
 
@@ -1141,6 +1148,22 @@ class TestOptimizedInterpreter:
         optimized = _python("-O", "-m", "bzcalc.cli", *argv)
         assert plain.returncode == optimized.returncode == 0, optimized.stderr
         assert plain.stdout and optimized.stdout == plain.stdout
+
+
+class TestClosedStdout:
+    def test_reader_that_leaves_early_gets_one_line(self):
+        """The closure of ten singletons, about 840 KB, outgrows the pipe
+        buffer, so a write fails once the reader has closed the pipe."""
+        doc = _seg_doc(*[("unr", "c0", i, 1) for i in range(10)])
+        argv = [sys.executable, "-m", "bzcalc.cli", "seg", doc, "--closure"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b"error: stdout closed before the report was written\n"
 
 
 # The public names of the package, by the submodule that defines them.

@@ -78,7 +78,44 @@ def three_point_scenario():
     )
 
 
+def _violations_oracle(site):
+    """The closed-set axioms checked on frozensets, pair by pair: the check
+    FiniteSite.violations made before it used point bitmasks."""
+    problems = []
+    if frozenset() not in site.closed_sets:
+        problems.append("empty set is not closed")
+    if site.points not in site.closed_sets:
+        problems.append("whole space is not closed")
+    for c in site.closed_sets:
+        if not c <= site.points:
+            problems.append(f"closed set {sorted(c)} is not a subset of the space")
+    sets = sorted(site.closed_sets, key=sorted)
+    for a in sets:
+        for b in sets:
+            if a | b not in site.closed_sets:
+                problems.append(f"union {sorted(a)} | {sorted(b)} is not closed")
+            if a & b not in site.closed_sets:
+                problems.append(f"intersection {sorted(a)} & {sorted(b)} is not closed")
+    return tuple(problems)
+
+
 class TestSite:
+    def test_violations_match_the_frozenset_oracle(self):
+        """Every family of closed sets over a 3-point space, alone and with
+        a closed set that holds a point outside the space: same messages in
+        the same order."""
+        points = ["a", "b", "c"]
+        subsets = [[x for k, x in enumerate(points) if mask >> k & 1] for mask in range(8)]
+        seen = set()
+        for family_mask in range(2 ** len(subsets)):
+            closed = [c for k, c in enumerate(subsets) if family_mask >> k & 1]
+            for extra in ([], [["d"]], [["a", "d"]], [["a", "d"], ["d", "e"]]):
+                site = FiniteSite.of(points, closed + extra)
+                expected = _violations_oracle(site)
+                assert site.violations == expected
+                seen.update(v.split()[0] for v in expected)
+        assert seen == {"empty", "whole", "closed", "union", "intersection"}
+
     def test_valid_site(self):
         assert THREE_POINT_SITE.violations == ()
 
@@ -451,7 +488,7 @@ class TestRatioValuationClosedForm:
     """ratio_valuation(sc, x, j) == monodromy_weight(sc.assignment[x][j]): the
     k1 units are coprime to p and the Iwahori factors of the other slots
     cancel.  Guards the shadows and Iwahori factors a scenario keeps per
-    (point, slot)."""
+    multisegment."""
 
     def _check(self, sc):
         pairs = _pairs(sc)
@@ -471,7 +508,15 @@ class TestRatioValuationClosedForm:
             self._check(sc.with_seeds(rng.randrange(10**6), rng.randrange(10**6)))
 
     def test_shadow_and_iwahori_factor_once_per_point_and_slot(self, monkeypatch):
+        """At most once per (point, slot): once per distinct multisegment, so
+        a point that repeats another's multisegments costs nothing more."""
         sc = _generated_scenario(random.Random(3), 3)
+        # the last point repeats the first one's multisegments
+        last = max(sc.sigma)
+        sc = replace(sc, assignment={**sc.assignment, last: sc.assignment["p0"]})
+        values = {s for per_field in sc.assignment.values() for s in per_field}
+        pairs = _pairs(sc)
+        assert len(values) < len(pairs)
         shadows, factors = [], []
         real_shadow, real_iwahori = family.base_change_shadow, family.iwahori_trace
 
@@ -480,22 +525,23 @@ class TestRatioValuationClosedForm:
             return real_shadow(s)
 
         def counting_iwahori(s, n, seed):
-            factors.append(seed)
+            factors.append((seed, s))
             return real_iwahori(s, n, seed)
 
         monkeypatch.setattr(family, "base_change_shadow", counting_shadow)
         monkeypatch.setattr(family, "iwahori_trace", counting_iwahori)
-        pairs = _pairs(sc)
         logs = []
         for copy in (sc, sc, sc.with_seeds(5, 6)):
             logs.append([])
             for x, j in pairs:
                 ratio_valuation(copy, x, j, logs[-1])
-        # shadows once per (point, slot), shared with the copy; factors once
-        # per (point, slot) for sc, and again for the copy's seeds
-        assert len(shadows) == len(pairs)
-        assert len(factors) == 2 * len(pairs)
-        assert factors == [sc.unit_seeds["iwahori"]] * len(pairs) + [6] * len(pairs)
+        # one shadow per multisegment, shared with the copy; one factor per
+        # multisegment for sc, and again for the copy's seeds
+        assert Counter(shadows) == Counter(values)
+        assert Counter(factors) == Counter(
+            (seed, shadow) for seed in (sc.unit_seeds["iwahori"], 6)
+            for shadow in map(real_shadow, values)
+        )
         assert logs[0] == logs[1] != logs[2]
         fresh = FamilyScenario(
             sc.fields, sc.site, sc.sigma, sc.assignment, {"k1": 5, "iwahori": 6}
@@ -645,23 +691,26 @@ class TestPipeline:
 
 
 class TestPipelineMemo:
-    """run_pipeline evaluates each ratio valuation and twist witness once per
-    (point, slot); the trace_log still lists every lookup."""
+    """run_pipeline evaluates each twist witness once per (s0, s) and each
+    ratio valuation once per (assignment[x], slot); the trace_log still
+    lists every (point, slot) lookup."""
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "tampered"])
     def test_each_point_and_slot_evaluated_once(self, monkeypatch, adversarial):
+        """At most once per (point, slot): once per (s0, s) and once per
+        (assignment[x], slot), fewer than the (point, slot) lookups."""
         sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=adversarial)
         valuation_calls: Counter = Counter()
-        witness_calls = []
+        witness_calls: Counter = Counter()
         real_valuation = family.ratio_valuation
         real_witness = family.twist_comparison_witness
 
         def counting_valuation(sc, x, j, log=None):
-            valuation_calls[(x, j)] += 1
+            valuation_calls[(sc.assignment[x], j)] += 1
             return real_valuation(sc, x, j, log)
 
         def counting_witness(s0, s):
-            witness_calls.append((s0, s))
+            witness_calls[(s0, s)] += 1
             return real_witness(s0, s)
 
         monkeypatch.setattr(family, "ratio_valuation", counting_valuation)
@@ -669,30 +718,69 @@ class TestPipelineMemo:
         report = family.run_pipeline(sc, x0)
 
         n_fields = len(sc.fields)
-        assert len(witness_calls) == len(sc.sigma) * n_fields
+        witness_keys = {
+            (sc.assignment[x0][i], sc.assignment[x][i])
+            for x in sc.sigma for i in range(n_fields)
+        }
+        assert set(witness_calls) == witness_keys
+        assert set(witness_calls.values()) == {1}
+        assert len(witness_keys) < len(sc.sigma) * n_fields
         assert set(valuation_calls.values()) == {1}
-        assert {(x, j) for x in report.locus for j in range(n_fields)} <= set(
-            valuation_calls
-        )
+
         logged = [e for e in report.trace_log if e["stage"] == "ratio_valuation"]
-        assert {(e["point"], e["field"]) for e in logged} == set(valuation_calls)
-        assert len(logged) > len(valuation_calls)
+        looked_up = {(e["point"], e["field"]) for e in logged}
+        assert {(x, j) for x in report.locus for j in range(n_fields)} <= looked_up
+        assert {(sc.assignment[x], j) for x, j in looked_up} == set(valuation_calls)
+        assert len(valuation_calls) < len(looked_up) < len(logged)
+        for entry in logged:  # a repeated lookup logs what a fresh one would
+            fresh = []
+            real_valuation(sc, entry["point"], entry["field"], fresh)
+            assert entry == fresh[0]
+
+    def test_valuation_key_is_the_whole_point_tuple(self):
+        """a and b hold one slot-0 multisegment and twists of each other at
+        slot 1, so their slot-0 t_prime differ by the slot-1 Iwahori factor:
+        a table keyed by the slot-0 multisegment alone would log a's entry
+        for b."""
+        ms0 = ms((0, 2))
+        sc = FamilyScenario(
+            fields=(PrimePower(3, 1), PrimePower(5, 1)),
+            site=FiniteSite.of(["a", "b"], [[], ["a", "b"]]),
+            sigma=frozenset({"a", "b"}),
+            assignment={"a": (ms0, ms((0, 4))), "b": (ms0, ms((3, 4)))},
+            unit_seeds={"k1": 17, "iwahori": 5},
+        )
+        report = run_pipeline(sc, "a")
+        assert report.locus == ("a", "b")
+        entries = {
+            e["point"]: e for e in report.trace_log
+            if e["stage"] == "ratio_valuation" and e["field"] == 0
+        }
+        assert entries["a"]["t_prime"] != entries["b"]["t_prime"]
+        for x in ("a", "b"):
+            fresh = []
+            ratio_valuation(sc, x, 0, fresh)
+            assert entries[x] == fresh[0]
 
     def test_iwahori_factor_at_most_once_per_point_and_slot(self, monkeypatch):
+        """Once per distinct multisegment per seed pair."""
         sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=True)
+        values = {s for per_field in sc.assignment.values() for s in per_field}
         calls = []
         real_iwahori = family.iwahori_trace
 
         def counting_iwahori(s, n, seed):
-            calls.append(seed)
+            calls.append((seed, s))
             return real_iwahori(s, n, seed)
 
         monkeypatch.setattr(family, "iwahori_trace", counting_iwahori)
         for copy in (sc, sc.with_seeds(3, 4)):
             calls.clear()
             family.run_pipeline(copy, x0)
-            assert 0 < len(calls) <= len(sc.sigma) * len(sc.fields)
-            assert set(calls) == {copy.unit_seeds["iwahori"]}
+            shadows = [s for _, s in calls]
+            assert 0 < len(calls) == len(set(shadows)) <= len(values)
+            assert set(shadows) <= set(map(base_change_shadow, values))
+            assert {seed for seed, _ in calls} == {copy.unit_seeds["iwahori"]}
 
     def test_violation_in_valuation_propagates(self, monkeypatch):
         sc = three_point_scenario()
