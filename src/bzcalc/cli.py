@@ -265,6 +265,8 @@ def cmd_dims(args) -> int:
 def cmd_identity_check(args) -> int:
     n_max = args.n_max
     bound = dims._alternating_sum_bound()
+    if n_max < 1:
+        raise DomainError(f"--n-max must be at least 1, got {n_max}")
     if n_max > bound:
         raise DomainError(f"n_max {n_max} exceeds bound {bound}")
     qs = [_parse_q(v) for v in args.q.split(",")] if args.q else [

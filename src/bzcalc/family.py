@@ -37,8 +37,7 @@ from .segments import (
     support,
     twist_orbit,
 )
-from .dimensions import PrimePower, _decimal, vp
-from .weildeligne import monodromy_weight
+from .dimensions import PrimePower, _decimal, _require_unramified, vp
 
 UNRAMIFIED_LABEL = "unr"
 
@@ -70,10 +69,10 @@ class FiniteSite:
             problems.append("empty set is not closed")
         if self.points not in self.closed_sets:
             problems.append("whole space is not closed")
-        for c in self.closed_sets:
+        sets = sorted(self.closed_sets, key=sorted)  # so no message follows the hash seed
+        for c in sets:
             if not c <= self.points:
                 problems.append(f"closed set {sorted(c)} is not a subset of the space")
-        sets = sorted(self.closed_sets, key=sorted)
         # a set as an int over a sorted index of every point named, so the
         # axioms cost int | and & rather than a frozenset per pair
         bit = {x: 1 << k for k, x in enumerate(sorted(self.points.union(*sets)))}
@@ -277,9 +276,7 @@ def _payload(s: Multisegment, q: PrimePower | None = None) -> str:
 def k1_trace(s: Multisegment, q: PrimePower, seed: int) -> int:
     """u * q^statistic(s) with u a seed-derived unit coprime to p, bounded by
     the order of GL_n over the residue field."""
-    for seg in s:
-        if seg.line.block_size != 1:
-            raise DomainError("k1_trace requires unramified (block-1) support")
+    _require_unramified(s)
     bound = _gl_order(s.total_size, q.q) if len(s) else 1
     u = _derived_int(seed, "k1", _payload(s, q), bound)
     if u % q.p == 0:
@@ -333,15 +330,10 @@ class FamilyScenario:
     declared_ratio_valuations: Mapping[int, Mapping[str, int]] = field(
         default_factory=dict
     )
-    # Tables filled on first use, keyed by value, since a family repeats a few
-    # multisegments over many points.  Twist witnesses by (s0, s) and shadows
-    # by s are seed-free and pass to every with_seeds copy; each copy starts
-    # its own Iwahori factors by s.
-    _shadows: dict = field(default_factory=dict, repr=False, compare=False)
-    _witnesses: dict = field(default_factory=dict, repr=False, compare=False)
-    _iwahori_factors: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # fn(*args) by (fn, *args), filled on first use and shared by every
+    # with_seeds copy: a family repeats a few multisegments over many points,
+    # and a seed that matters is one of the args
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def with_seeds(self, k1: int, iwahori: int) -> "FamilyScenario":
         return replace(self, unit_seeds={"k1": k1, "iwahori": iwahori})
@@ -356,23 +348,13 @@ class FamilyScenario:
             for j in range(len(self.fields))
         )
 
-    def _witness(self, s0: Multisegment, s: Multisegment) -> Multisegment | None:
-        if (s0, s) not in self._witnesses:
-            self._witnesses[s0, s] = twist_comparison_witness(s0, s)
-        return self._witnesses[s0, s]
-
-    def _shadow(self, s: Multisegment) -> Multisegment:
-        if s not in self._shadows:
-            self._shadows[s] = base_change_shadow(s)
-        return self._shadows[s]
-
-    def _iwahori_factor(self, s: Multisegment) -> int:
-        """iwahori_trace of s's shadow, under the Iwahori seed."""
-        if s not in self._iwahori_factors:
-            self._iwahori_factors[s] = iwahori_trace(
-                self._shadow(s), s.total_size, self.unit_seeds["iwahori"]
-            )
-        return self._iwahori_factors[s]
+    def _derive(self, fn: Callable, *args):
+        key = (fn, *args)
+        try:
+            return self._derived[key]
+        except KeyError:
+            self._derived[key] = value = fn(*args)
+            return value
 
 
 def scenario_violations(sc: FamilyScenario) -> list[str]:
@@ -421,11 +403,14 @@ def ratio_valuation(
     qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
     qsecond = PrimePower(qj.p, 2 * qprime.f)
     k1_seed = sc.unit_seeds["k1"]
-    shadow = sc._shadow(sc.assignment[x][j])
+    shadow = sc._derive(base_change_shadow, sc.assignment[x][j])
     iw_product = 1
     for i, s in enumerate(sc.assignment[x]):
         if i != j:
-            iw_product *= sc._iwahori_factor(s)
+            shadow_i = sc._derive(base_change_shadow, s)
+            iw_product *= sc._derive(
+                iwahori_trace, shadow_i, s.total_size, sc.unit_seeds["iwahori"]
+            )
     t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
     t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
     v = vp(t_second, qj.p) - vp(t_prime, qj.p)
@@ -520,7 +505,7 @@ def _certify_point(
     for i in range(len(sc.fields)):
         s0 = sc.assignment[x0][i]
         s = sc.assignment[x][i]
-        witness = sc._witness(s0, s)
+        witness = sc._derive(twist_comparison_witness, s0, s)
         computed_t = 1 if witness is not None else 0
         computed_rv = valuation(x, i)
         rv_x0 = valuation(x0, i)
@@ -547,8 +532,9 @@ def _certify_point(
                         "field": i,
                         "declared": used,
                         "computed": computed,
-                        "weighted_statistic": monodromy_weight(s),
-                        "base_weighted_statistic": monodromy_weight(s0),
+                        # the shadow's statistic: block_size * l(l-1)/2 per segment
+                        "weighted_statistic": statistic(sc._derive(base_change_shadow, s)),
+                        "base_weighted_statistic": statistic(sc._derive(base_change_shadow, s0)),
                     }
                 )
                 break
@@ -585,11 +571,11 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     A family repeats a few multisegments over many points, so every table
     is keyed by value.  In one run each ratio valuation is computed once per
     (assignment[x], slot): the whole per-point tuple, since the Iwahori
-    factors of the other slots enter t_prime.  sc keeps the twist witnesses
-    by (s0, s) and the shadows by s for every with_seeds copy, and the
-    Iwahori factors by s for its seeds.  A valuation that is looked up again
-    appends a copy of its first trace_log entry with "point" set to x, so
-    the log reads as if each lookup had been computed.
+    factors of the other slots enter t_prime.  Twist witnesses, shadows and
+    Iwahori factors are kept by value in sc._derived for every with_seeds
+    copy.  A valuation that is looked up again appends a copy of its first
+    trace_log entry with "point" set to x, so the log reads as if each
+    lookup had been computed.
     """
     problems = scenario_violations(sc)
     if problems:
@@ -617,7 +603,8 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
         sigma_vals = {}
         s0 = sc.assignment[x0][i]
         for x in sorted(sc.sigma):
-            computed = 1 if sc._witness(s0, sc.assignment[x][i]) is not None else 0
+            witness = sc._derive(twist_comparison_witness, s0, sc.assignment[x][i])
+            computed = 1 if witness is not None else 0
             value = declared.get(x, computed)
             sigma_vals[x] = value
             log.append(

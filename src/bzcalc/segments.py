@@ -122,7 +122,7 @@ class Multisegment:
     def __len__(self) -> int:
         return len(self.segments)
 
-    @property
+    @cached_property
     def total_size(self) -> int:
         """n of the ambient GL_n: sum of block_size * length."""
         return sum(seg.line.block_size * seg.length for seg in self.segments)

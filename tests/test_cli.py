@@ -350,6 +350,14 @@ class TestIdentityCheck:
         status = main(["identity-check", "--n-max", "13"])
         assert status == 1
 
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_is_not_a_pass(self, capsys, n_max):
+        status = main(["identity-check", "--n-max", n_max])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --n-max must be at least 1, got {n_max}\n"
+
 
 class TestLargePrimes:
     """A prime q or p is factored and tested exactly in well under a second,
@@ -478,6 +486,57 @@ class TestFamily:
         status = main(["family", json.dumps(doc), "a"])
         assert status == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(sigma=["a", "b", "c", "z"]), "sigma is not a subset of the space"),
+        (lambda d: d["assignment"]["a"].append(d["assignment"]["a"][0]),
+         "point 'a' assigns 2 multisegments for 1 fields"),
+        (lambda d: d["assignment"]["b"][0].update(segments=[]),
+         "empty multisegment at point 'b', field 0"),
+        (lambda d: d["assignment"]["b"][0]["segments"][0].update(len=3),
+         "field 0 mixes ambient sizes 2 and 3"),
+        (lambda d: d["unit_seeds"].pop("iwahori"), "missing unit seed 'iwahori'"),
+    ], ids=["sigma", "count", "empty", "sizes", "seed"])
+    def test_each_scenario_violation_is_one_line(self, capsys, edit, message):
+        doc = scenario_to_json(three_point_scenario())
+        edit(doc)
+        status = main(["family", json.dumps(doc), "a"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid scenario: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    def test_equal_valuation_different_orbit_is_a_violation(self, capsys):
+        """a and b share a statistic and no closed set parts them; the
+        declared type trace at a puts b in the locus, whose orbit is not a's."""
+        def segment(start, length):
+            return {"line": "unr", "coset": "c0", "start": start, "len": length}
+
+        doc = {
+            "fields": [{"p": 3, "f": 1}],
+            "points": ["a", "b"],
+            "closed_sets": [[], ["a", "b"]],
+            "sigma": ["a", "b"],
+            "assignment": {
+                "a": [{"segments": [segment(0, 2), segment(2, 2), segment(4, 2)]}],
+                "b": [{"segments": [segment(0, 3), segment(3, 1), segment(4, 1),
+                                    segment(5, 1)]}],
+            },
+            "unit_seeds": {"k1": 17, "iwahori": 5},
+            "declared": {"type_traces": {"0": {"a": 0}}},
+        }
+        status, report = run_cli(capsys, "family", json.dumps(doc), "a")
+        assert status == 2
+        assert report["X0"] == ["a", "b"]
+        verdict_b = report["verdicts"][1]
+        assert verdict_b["point"] == "b" and verdict_b["status"] == "violation"
+        [certificate] = verdict_b["certificates"]
+        assert certificate["reason"].startswith(
+            "comparable point with equal valuation but a different twist orbit"
+        )
+        assert certificate["orbit"] == [["unr", 1, 3], ["unr", 3, 1]]
+        assert certificate["base_orbit"] == [["unr", 2, 3]]
+
 
 A_BLOCK_1 = {"line_id": "A", "block_size": 1, "inertial_label": "unr"}
 A_BLOCK_2 = {"line_id": "A", "block_size": 2, "inertial_label": "unr"}
@@ -589,6 +648,28 @@ class TestDeterminism:
         assert b'"reason": "overlapping value-class closures"' in runs[0].stdout
         assert b'"point": "a"' in runs[0].stdout
         assert all(r.stdout == runs[0].stdout for r in runs)
+
+    def test_site_violations_independent_of_hash_seed(self):
+        """Closed sets that leave the space are named in sorted order, so
+        the one-line error is the same under every hash seed."""
+        doc = json.dumps({
+            "fields": [{"p": 3, "f": 1}],
+            "points": ["a"],
+            "closed_sets": [[], ["a"], ["x"], ["y"]],
+            "sigma": ["a"],
+            "assignment": {"a": [{"segments": [{"line": "unr", "start": 0, "len": 1}]}]},
+            "unit_seeds": {"k1": 17, "iwahori": 5},
+        })
+        runs = [
+            _python("-m", "bzcalc.cli", "family", doc, "a", PYTHONHASHSEED=str(seed))
+            for seed in range(4)
+        ]
+        assert [r.returncode for r in runs] == [1] * 4
+        assert runs[0].stderr.startswith(
+            b"error: invalid scenario: closed set ['x'] is not a subset of the space; "
+            b"closed set ['y'] is not a subset of the space; "
+        )
+        assert all(r.stderr == runs[0].stderr for r in runs)
 
 
 class TestSelftest:
@@ -1223,6 +1304,15 @@ class TestLazyPackage:
         )
         assert "bzcalc.family" not in loaded and "bzcalc.weildeligne" not in loaded
         assert "bzcalc.segments" in loaded and "bzcalc.dimensions" in loaded
+
+    def test_family_skips_weildeligne_and_fractions(self):
+        code = (
+            "import sys, bzcalc.family\n"
+            "print([m for m in ('bzcalc.weildeligne', 'fractions') if m in sys.modules])"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
 
     def test_name_loads_its_submodule_once(self):
         loaded = _loaded_after(

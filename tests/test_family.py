@@ -86,10 +86,10 @@ def _violations_oracle(site):
         problems.append("empty set is not closed")
     if site.points not in site.closed_sets:
         problems.append("whole space is not closed")
-    for c in site.closed_sets:
+    sets = sorted(site.closed_sets, key=sorted)
+    for c in sets:
         if not c <= site.points:
             problems.append(f"closed set {sorted(c)} is not a subset of the space")
-    sets = sorted(site.closed_sets, key=sorted)
     for a in sets:
         for b in sets:
             if a | b not in site.closed_sets:
@@ -181,6 +181,41 @@ class TestSimulatedTrace:
     def test_extension_fills_non_dense_points(self):
         trace = SimulatedTrace.from_sigma(THREE_POINT_SITE, {"a": 1, "c": 0}, "t")
         assert dict(trace.values)["b"] == 1
+
+    def test_closures_that_miss_a_point_are_a_violation(self):
+        # {a} is closed, so a's value class covers a alone
+        site = FiniteSite.of(["a", "b"], [[], ["a"], ["a", "b"]])
+        with pytest.raises(ModelViolation) as exc:
+            SimulatedTrace.from_sigma(site, {"a": 1}, "t")
+        assert exc.value.certificate == {
+            "reason": "value-class closures do not cover the space",
+            "trace": "t",
+            "points": ["b"],
+        }
+
+
+class TestClopenLocus:
+    # {a} is closed and {b} is not, so the fiber at a has an open complement
+    # and the fiber at b is not closed
+    SITE = FiniteSite.of(["a", "b"], [[], ["a"], ["a", "b"]])
+    TRACE = SimulatedTrace(SITE, (("a", 0), ("b", 1)), "t")
+
+    @pytest.mark.parametrize("x0, part, fiber", [
+        ("a", "complement", ["a"]),
+        ("b", "fiber", ["b"]),
+    ])
+    def test_non_clopen_fiber_is_a_violation(self, x0, part, fiber):
+        with pytest.raises(ModelViolation, match="non-clopen fiber") as exc:
+            clopen_locus(self.TRACE, x0)
+        assert exc.value.certificate == {
+            "reason": f"{part} of the fiber is not closed",
+            "trace": "t",
+            "fiber": fiber,
+        }
+
+    def test_unknown_point(self):
+        with pytest.raises(DomainError, match="'z' is not in the trace's space"):
+            clopen_locus(self.TRACE, "z")
 
 
 class TestTypeTrace:
@@ -383,6 +418,21 @@ class TestBaseChange:
     def test_statistic_weighting(self):
         s = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 3)])
         assert statistic(base_change_shadow(s)) == 6
+
+    def test_shadow_statistic_is_the_monodromy_weight(self):
+        """A block-m segment of length l becomes m segments of length l, so
+        the shadow's statistic weighs each segment by its block size: the
+        weighted statistic the pipeline's certificates report."""
+        rng = random.Random(14)
+        lines = [
+            CuspidalLine("A", 1, "ramA"),
+            CuspidalLine("B", 2, "ramB"),
+            CuspidalLine("C", 3, "ramC"),
+            CuspidalLine("D", 2, "ramB"),
+        ]
+        for _ in range(300):
+            s = _random_multisegment(rng, lines)
+            assert statistic(base_change_shadow(s)) == monodromy_weight(s)
 
 
 class TestRatioValuation:
