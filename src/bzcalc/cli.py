@@ -246,10 +246,8 @@ def cmd_dims(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc
     q = dims.PrimePower(p, f)
-    if not len(s):
-        raise DomainError("empty multisegment has no ambient GL_n")
-    comp = dims.Composition(g.length for g in seg.admissible_order(s))
     dim = dims.standard_module_k1_dim(s, q)
+    comp = dims.Composition(g.length for g in s)
     _emit(
         {
             "q": {"p": q.p, "f": q.f},
@@ -264,11 +262,10 @@ def cmd_dims(args) -> int:
 
 def cmd_identity_check(args) -> int:
     n_max = args.n_max
-    bound = dims._alternating_sum_bound()
     if n_max < 1:
         raise DomainError(f"--n-max must be at least 1, got {n_max}")
-    if n_max > bound:
-        raise DomainError(f"n_max {n_max} exceeds bound {bound}")
+    if n_max > dims.DEFAULT_MAX_N:
+        raise DomainError(f"n_max {n_max} exceeds bound {dims.DEFAULT_MAX_N}")
     qs = [_parse_q(v) for v in args.q.split(",")] if args.q else [
         dims.PrimePower.from_q(v) for v in DEFAULT_Q_LIST
     ]
@@ -368,8 +365,9 @@ def cmd_selftest(args) -> int:
         "exp(N) nonzero count n<=8",
         all(
             wd.nonzero_count_exp(p) == wd.partition_statistic(p)
-            for n in range(1, 9)
-            for p in _partitions(n)
+            for p in {
+                wd.JordanPartition(c.parts) for n in range(1, 9) for c in dims.compositions(n)
+            }
         ),
     )
     line = seg.CuspidalLine("unr")
@@ -384,18 +382,6 @@ def cmd_selftest(args) -> int:
     )
     ok = all(passed for _, passed in checks)
     return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _partitions(n: int, largest: int | None = None):
-    from . import weildeligne as wd
-
-    largest = n if largest is None else largest
-    if n == 0:
-        yield wd.JordanPartition(())
-        return
-    for head in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - head, head):
-            yield wd.JordanPartition((head,) + rest.blocks)
 
 
 def build_parser() -> argparse.ArgumentParser:

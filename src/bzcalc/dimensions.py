@@ -7,24 +7,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .exceptions import DomainError
-from .segments import Multisegment, admissible_order, leq, statistic
+from .segments import Multisegment, leq, statistic
 
-DEFAULT_MAX_N = 12
-
-
-def _alternating_sum_bound() -> int:
-    """The largest n for parabolic_alternating_sum: BZ_MAX_N, or DEFAULT_MAX_N."""
-    value = os.environ.get("BZ_MAX_N", DEFAULT_MAX_N)
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise DomainError(f"BZ_MAX_N must be an integer, got {value!r}") from exc
+DEFAULT_MAX_N = 12  # the largest n for parabolic_alternating_sum
 
 
 def _decimal(x: int) -> str:
@@ -217,9 +207,8 @@ def parabolic_alternating_sum(n: int, q: PrimePower) -> int:
     Equals steinberg_k1_dim(n, q); exposed separately so the identity can be
     checked rather than assumed.
     """
-    bound = _alternating_sum_bound()
-    if not 1 <= n <= bound:
-        raise DomainError(f"n must be in [1, {bound}], got {n}")
+    if not 1 <= n <= DEFAULT_MAX_N:
+        raise DomainError(f"n must be in [1, {DEFAULT_MAX_N}], got {n}")
     total = 0
     for c in compositions(n):
         sign = -1 if (n - len(c.parts)) % 2 else 1
@@ -238,15 +227,13 @@ def _require_unramified(s: Multisegment) -> None:
 
 def standard_module_k1_dim(s: Multisegment, q: PrimePower) -> int:
     """Depth-one fixed-vector dimension of the full induced module attached
-    to an unramified multisegment: flag count times q^statistic."""
+    to an unramified multisegment: flag count times q^statistic.  The
+    q-multinomial is symmetric in its parts, so any order of the segment
+    lengths gives the flag count."""
     _require_unramified(s)
     if not len(s):
         raise DomainError("empty multisegment has no ambient GL_n")
-    comp = Composition(seg.length for seg in admissible_order(s))
-    out = gaussian_flag_count(comp, q)
-    for seg in s:
-        out *= q.q ** (seg.length * (seg.length - 1) // 2)
-    return out
+    return gaussian_flag_count(Composition(g.length for g in s), q) * q.q ** statistic(s)
 
 
 def vp(x: int, p: int) -> int:
@@ -305,12 +292,11 @@ def triangle_check(
     if unit < 1 or unit % q.p == 0:
         raise DomainError(f"unit must be positive and coprime to p, got {unit}")
     _require_unramified(s)
+    total = unit * q.q ** statistic(s)
     for key, m in mults.items():
         if m < 1:
             raise DomainError(f"multiplicities must be positive, got {m}")
         if key == s or not leq(key, s):
             raise DomainError("every key of mults must be strictly smaller than s")
-    total = unit * q.q ** statistic(s)
-    for key, m in mults.items():
         total += m * q.q ** statistic(key)
     return vp(total, q.p) == q.f * statistic(s)

@@ -348,6 +348,11 @@ class FamilyScenario:
             for j in range(len(self.fields))
         )
 
+    def _unit_seed(self, key: str) -> int:
+        if key not in self.unit_seeds:
+            raise DomainError(f"missing unit seed {key!r}")
+        return self.unit_seeds[key]
+
     def _derive(self, fn: Callable, *args):
         key = (fn, *args)
         try:
@@ -402,14 +407,14 @@ def ratio_valuation(
     qj = sc.fields[j]
     qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
     qsecond = PrimePower(qj.p, 2 * qprime.f)
-    k1_seed = sc.unit_seeds["k1"]
+    k1_seed = sc._unit_seed("k1")
     shadow = sc._derive(base_change_shadow, sc.assignment[x][j])
     iw_product = 1
     for i, s in enumerate(sc.assignment[x]):
         if i != j:
             shadow_i = sc._derive(base_change_shadow, s)
             iw_product *= sc._derive(
-                iwahori_trace, shadow_i, s.total_size, sc.unit_seeds["iwahori"]
+                iwahori_trace, shadow_i, s.total_size, sc._unit_seed("iwahori")
             )
     t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
     t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product

@@ -240,61 +240,54 @@ class TestMalformedNumbers:
     """Malformed numbers, non-integer numbers and documents of the wrong shape."""
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["seg", '{"segments": [{"line": "unr", "start": "x", "len": 1}]}'], {}),
-            (["identity-check", "--q", "abc"], {}),
-            (
-                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": "abc", "f": 1}})],
-                {},
-            ),
-            (["identity-check", "--n-max", "3"], {"BZ_MAX_N": "x"}),
-            (["seg", '{"segments": [{"line": "unr", "start": ' + "1" * 5000 + ', "len": 1}]}'], {}),
-            (["dims", '{"multisegment": [1], "q": {"p": 2, "f": 1}}'], {}),
-            (["seg", '{"segments": 5}'], {}),
-            (["seg", '{"lines": 5, "segments": []}'], {}),
-            (["family", _readme_with(["declared"], []), "a"], {}),
-            (["wd", _wd_segment(len=1.5)], {}),
-            (["wd", _wd_segment(len=True)], {}),
-            (["wd", _wd_segment(start=0.0)], {}),
-            (["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": 2.7}])], {}),
-            (
-                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": 1.0}})],
-                {},
-            ),
-            (["family", _readme_with(["unit_seeds", "k1"], 1.9), "a"], {}),
-            (["family", _readme_with(["fields", 0, "p"], 3.0), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", "0", "c"], True), "a"], {}),
-            (["family", _readme_with(["declared", "ratio_valuations", "0.5"], {}), "a"], {}),
-            (["seg", json.dumps({"segments": [{"line": 5, "start": 0, "len": 1}] * 2})], {}),
-            (["family", _readme_with(["closed_sets", 1], "c"), "a"], {}),
-            (["seg", _wd_segment(), "--statistic", "--output", MISSING_DIR_FILE], {}),
-            (["family", readme_scenario(), "a", "--report", MISSING_DIR_FILE], {}),
-            (["seg", _wd_segment(len=" 2 ")], {}),
-            (["wd", _wd_segment(start="0")], {}),
-            (["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": "2"}])], {}),
-            (
-                ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": "1_0"}})],
-                {},
-            ),
-            (["family", _readme_with(["unit_seeds", "k1"], "17"), "a"], {}),
-            (["family", _readme_with(["fields", 0, "p"], "3"), "a"], {}),
-            (["family", _readme_with(["declared", "ratio_valuations", "0", "c"], "0"), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", "01"], {}), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", "-1"], {}), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", " 0"], {}), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", "\u0661"], {}), "a"], {}),
-            (["family", _readme_with(["declared", "type_traces", "\u00b2"], {}), "a"], {}),
-            (["family", readme_scenario(), "a", "--seeds", "0"], {}),
-            (["family", readme_scenario(), "a", "--seeds", "-3"], {}),
+            ["seg", '{"segments": [{"line": "unr", "start": "x", "len": 1}]}'],
+            ["identity-check", "--q", "abc"],
+            ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": "abc", "f": 1}})],
+            ["seg", '{"segments": [{"line": "unr", "start": ' + "1" * 5000 + ', "len": 1}]}'],
+            ["dims", '{"multisegment": [1], "q": {"p": 2, "f": 1}}'],
+            ["dims", '{"q": {"p": 2, "f": 1}}'],
+            ["dims", json.dumps({"multisegment": json.loads(MS_L3)})],
+            ["seg", '{"segments": 5}'],
+            ["seg", '{"lines": 5, "segments": []}'],
+            ["family", _readme_with(["declared"], []), "a"],
+            ["wd", _wd_segment(len=1.5)],
+            ["wd", _wd_segment(len=True)],
+            ["wd", _wd_segment(start=0.0)],
+            ["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": 2.7}])],
+            ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": 1.0}})],
+            ["family", _readme_with(["unit_seeds", "k1"], 1.9), "a"],
+            ["family", _readme_with(["fields", 0, "p"], 3.0), "a"],
+            ["family", _readme_with(["declared", "type_traces", "0", "c"], True), "a"],
+            ["family", _readme_with(["declared", "ratio_valuations", "0.5"], {}), "a"],
+            ["seg", json.dumps({"segments": [{"line": 5, "start": 0, "len": 1}] * 2})],
+            ["family", _readme_with(["closed_sets", 1], "c"), "a"],
+            ["seg", _wd_segment(), "--statistic", "--output", MISSING_DIR_FILE],
+            ["family", readme_scenario(), "a", "--report", MISSING_DIR_FILE],
+            ["seg", _wd_segment(len=" 2 ")],
+            ["wd", _wd_segment(start="0")],
+            ["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_size": "2"}])],
+            ["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 2, "f": "1_0"}})],
+            ["family", _readme_with(["unit_seeds", "k1"], "17"), "a"],
+            ["family", _readme_with(["fields", 0, "p"], "3"), "a"],
+            ["family", _readme_with(["declared", "ratio_valuations", "0", "c"], "0"), "a"],
+            ["family", _readme_with(["declared", "type_traces", "01"], {}), "a"],
+            ["family", _readme_with(["declared", "type_traces", "-1"], {}), "a"],
+            ["family", _readme_with(["declared", "type_traces", " 0"], {}), "a"],
+            ["family", _readme_with(["declared", "type_traces", "\u0661"], {}), "a"],
+            ["family", _readme_with(["declared", "type_traces", "\u00b2"], {}), "a"],
+            ["family", readme_scenario(), "a", "--seeds", "0"],
+            ["family", readme_scenario(), "a", "--seeds", "-3"],
         ],
         ids=[
             "segment-start",
             "identity-check-q",
             "dims-q-p",
-            "bz-max-n",
             "huge-literal",
             "dims-multisegment-list",
+            "dims-no-multisegment",
+            "dims-no-q",
             "seg-segments-int",
             "seg-lines-int",
             "family-declared-list",
@@ -327,9 +320,7 @@ class TestMalformedNumbers:
             "family-seeds-negative",
         ],
     )
-    def test_exit_one_with_one_line(self, capsys, monkeypatch, argv, env):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_exit_one_with_one_line(self, capsys, argv):
         status = main(argv)
         captured = capsys.readouterr()
         assert status == 1
@@ -349,6 +340,17 @@ class TestIdentityCheck:
     def test_n_max_bound(self, capsys):
         status = main(["identity-check", "--n-max", "13"])
         assert status == 1
+
+    def test_bound_reads_no_environment(self, capsys, monkeypatch):
+        argv = ["identity-check", "--n-max", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("BZ_MAX_N", "x")
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
+        monkeypatch.setenv("BZ_MAX_N", "20")
+        assert main(["identity-check", "--n-max", "13"]) == 1
+        assert capsys.readouterr() == ("", "error: n_max 13 exceeds bound 12\n")
 
     @pytest.mark.parametrize("n_max", ["0", "-1"])
     def test_n_max_below_one_is_not_a_pass(self, capsys, n_max):
@@ -871,6 +873,66 @@ class TestWdReportBytes:
     )
     def test_stdout_digest(self, capsys, doc, digest):
         status = main(["wd", doc])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _dims_doc(q, *segments):
+    return json.dumps({"multisegment": json.loads(_seg_doc(*segments)), "q": q})
+
+
+class TestExactArithReportBytes:
+    """sha256 of the `dims`, `identity-check` and `selftest` reports on
+    stdout, fixed while standard_module_k1_dim and dims took the flag count
+    over the segment lengths in admissible order."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["selftest"],
+                "921b1f0dd8503c86510ea83610edd68dd3149a3f21514e4c2d3877a771216d3c",
+            ),
+            (
+                ["identity-check", "--n-max", "8"],
+                "dbc18dc5ff72193a5a1ef800e0035eac8f46ab279b3006f2623bf0df8b37dc23",
+            ),
+            (
+                ["identity-check", "--n-max", "12", "--q", "2,49"],
+                "4d36c9b49bf4f1f433a3645ea1432e607eceb0709bb039dc188370ab9681cf1a",
+            ),
+            (
+                # admissible order puts [2] and [1, 3] before [0, 1]
+                ["dims", _dims_doc(
+                    {"p": 3, "f": 1},
+                    ("unr", "c0", 0, 2), ("unr", "c0", 2, 1), ("unr", "c0", 1, 3),
+                )],
+                "fd8d4209fa1e9519c96597cf198a0733d72807563f1b665af4d725a1aa33d8c6",
+            ),
+            (
+                ["dims", _dims_doc(
+                    {"p": 5, "f": 2},
+                    ("unr", "c0", 0, 2), ("unr", "c1", 0, 3), ("unr", "c1", 3, 1),
+                )],
+                "e85fe7686680b12280279326c90b1f1d717e27ca44f2ebefd28f62c217ac8b28",
+            ),
+            (
+                ["dims", _dims_doc(
+                    {"p": 2, "f": 3},
+                    ("unr", "c0", 0, 1), ("unr", "c0", 1, 2), ("unr", "c0", 3, 3),
+                    ("unr", "c1", 0, 4), ("unr", "c1", 2, 1),
+                )],
+                "b40809a7c6d393a90220f34c99c2d0ff88bd00df1094edad14b5397cc88d711a",
+            ),
+        ],
+        ids=[
+            "selftest", "identity-check-8", "identity-check-12-q-2-49",
+            "dims-out-of-admissible-order", "dims-two-cosets", "dims-five-segments-q-8",
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        status = main(argv)
         out = capsys.readouterr().out
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -22,6 +22,7 @@ from bzcalc.dimensions import (
     _is_prime,
 )
 from bzcalc.exceptions import DomainError
+from bzcalc.family import iwahori_trace
 from bzcalc.segments import (
     CuspidalLine,
     Multisegment,
@@ -298,6 +299,32 @@ class TestPrimePower:
     def test_compositions_count(self):
         for n in range(1, 8):
             assert len(list(compositions(n))) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PrimePower(2, 0), "f must be >= 1, got 0"),
+        (lambda: Composition([0]), "composition parts must be >= 1, got [0]"),
+        (lambda: next(compositions(0)), "n must be >= 1, got 0"),
+        (lambda: steinberg_k1_dim(0, PrimePower(2, 1)), "n must be >= 1, got 0"),
+        (lambda: elementary_statistic_delta(0, 1, 0), "lengths must be >= 1, got (0, 1)"),
+        (
+            lambda: triangle_check(ms((0, 1), (1, 1)), PrimePower(2, 1), {ms((0, 2)): 0}, 1),
+            "multiplicities must be positive, got 0",
+        ),
+        (lambda: iwahori_trace(ms((0, 1)), 0, 5), "n must be >= 1, got 0"),
+    ],
+    ids=[
+        "prime-power-f-zero", "composition-part-zero", "compositions-of-zero",
+        "steinberg-n-zero", "statistic-delta-length-zero", "triangle-multiplicity-zero",
+        "iwahori-n-zero",
+    ],
+)
+def test_domain_error(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _trial_division(n):

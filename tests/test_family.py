@@ -486,6 +486,17 @@ class TestRatioValuation:
         )
         assert sc._trivializing_degrees == (6, 1)
 
+    @pytest.mark.parametrize(
+        "seeds, missing", [({"k1": 1}, "iwahori"), ({}, "k1")], ids=["no-iwahori", "none"]
+    )
+    def test_missing_unit_seed(self, seeds, missing):
+        sc = replace(
+            self._single_point([ms((0, 2)), ms((0, 3))], [PrimePower(3, 1), PrimePower(7, 1)]),
+            unit_seeds=seeds,
+        )
+        with pytest.raises(DomainError, match=f"^missing unit seed '{missing}'$"):
+            ratio_valuation(sc, "a", 0)
+
     def test_bad_point_or_slot_raises_before_reading(self):
         # an assignment that cannot be read: any access to it raises TypeError
         sc = FamilyScenario(
