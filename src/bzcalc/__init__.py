@@ -36,7 +36,7 @@ _SOURCE = {
             "FamilyScenario", "FiniteSite", "RigidityReport", "SimulatedTrace",
             "base_change_shadow", "clopen_locus", "is_dense", "iwahori_trace",
             "k1_trace", "ratio_valuation", "run_pipeline", "scenario_from_json",
-            "scenario_to_json", "type_trace",
+            "scenario_to_json",
         )),
     )
     for name in names

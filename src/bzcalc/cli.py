@@ -230,6 +230,9 @@ def cmd_seg(args) -> int:
         }
     if args.leq is not None:
         other = seg.multisegment_from_json(_load_json(args.leq))
+        lines: dict = {}
+        for g in (*s, *other):  # one line per id across both documents
+            seg._declare(lines, g.line)
         out["leq"] = seg.leq(s, other)
     _emit(out, args.output)
     return EXIT_OK

@@ -242,11 +242,6 @@ def twist_comparison_witness(
     return place(0, [])
 
 
-def type_trace(s0: Multisegment, s: Multisegment) -> int:
-    """1 iff s dominates some twist of s0 with the same support; else 0."""
-    return 1 if twist_comparison_witness(s0, s) is not None else 0
-
-
 # --- seed-derived opaque traces ---------------------------------------------
 
 
@@ -330,9 +325,10 @@ class FamilyScenario:
     declared_ratio_valuations: Mapping[int, Mapping[str, int]] = field(
         default_factory=dict
     )
-    # fn(*args) by (fn, *args), filled on first use and shared by every
-    # with_seeds copy: a family repeats a few multisegments over many points,
-    # and a seed that matters is one of the args
+    # fn(*args) by (fn, *args), and ratio_valuation's trace_log entries,
+    # filled on first use and shared by every with_seeds copy: a family
+    # repeats a few multisegments over many points, and a seed that matters
+    # is part of the key
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def with_seeds(self, k1: int, iwahori: int) -> "FamilyScenario":
@@ -388,6 +384,15 @@ def scenario_violations(sc: FamilyScenario) -> list[str]:
     for key in ("k1", "iwahori"):
         if key not in sc.unit_seeds:
             problems.append(f"missing unit seed {key!r}")
+    # a declared value the pipeline never reads (sorted, so that no message
+    # follows the hash seed)
+    for name, block in (("type_traces", sc.declared_type_traces),
+                        ("ratio_valuations", sc.declared_ratio_valuations)):
+        for i, per_point in sorted(block.items()):
+            if not 0 <= i < len(sc.fields):
+                problems.append(f"declared {name} index {i} is past the last field")
+            problems.extend(f"declared {name} index {i} names {x!r}, not a point of sigma"
+                            for x in sorted(set(per_point) - sc.sigma))
     return problems
 
 
@@ -399,51 +404,58 @@ def ratio_valuation(
 
     Iwahori factors at the other slots cancel; the result is the weighted
     statistic of the slot-j multisegment and is seed-independent.
+
+    The trace_log entry, less its "point", is derived once in sc._derived,
+    keyed by all it depends on: the whole point tuple (the other slots'
+    Iwahori factors enter t_prime), the slot, q' and both unit seeds.  Each
+    call with a log appends it with "point" set to x.
     """
     if x not in sc.sigma:
         raise DomainError(f"point {x!r} is not in sigma")
     if not 0 <= j < len(sc.fields):
         raise DomainError(f"field index {j} out of range")
     qj = sc.fields[j]
-    qprime = PrimePower(qj.p, qj.f * sc._trivializing_degrees[j])
-    qsecond = PrimePower(qj.p, 2 * qprime.f)
+    f_prime = qj.f * sc._trivializing_degrees[j]  # q' = p^f_prime
     k1_seed = sc._unit_seed("k1")
-    shadow = sc._derive(base_change_shadow, sc.assignment[x][j])
-    iw_product = 1
-    for i, s in enumerate(sc.assignment[x]):
-        if i != j:
-            shadow_i = sc._derive(base_change_shadow, s)
-            iw_product *= sc._derive(
-                iwahori_trace, shadow_i, s.total_size, sc._unit_seed("iwahori")
+    key = ("ratio_valuation", sc.assignment[x], j, qj.p, f_prime, k1_seed,
+           sc.unit_seeds.get("iwahori"))
+    entry = sc._derived.get(key)
+    if entry is None:
+        qprime = PrimePower(qj.p, f_prime)
+        qsecond = PrimePower(qj.p, 2 * f_prime)
+        shadow = sc._derive(base_change_shadow, sc.assignment[x][j])
+        iw_product = 1
+        for i, s in enumerate(sc.assignment[x]):
+            if i != j:
+                shadow_i = sc._derive(base_change_shadow, s)
+                iw_product *= sc._derive(
+                    iwahori_trace, shadow_i, s.total_size, sc._unit_seed("iwahori")
+                )
+        t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
+        t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
+        v = vp(t_second, qj.p) - vp(t_prime, qj.p)
+        if v % f_prime:
+            raise ModelViolation(
+                "ratio valuation is not an integer multiple of v_p(q')",
+                certificate={
+                    "reason": "non-integral ratio valuation",
+                    "point": x,
+                    "field": j,
+                    "v_p": v,
+                    "f": f_prime,
+                },
             )
-    t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
-    t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
-    v = vp(t_second, qj.p) - vp(t_prime, qj.p)
-    if v % qprime.f:
-        raise ModelViolation(
-            "ratio valuation is not an integer multiple of v_p(q')",
-            certificate={
-                "reason": "non-integral ratio valuation",
-                "point": x,
-                "field": j,
-                "v_p": v,
-                "f": qprime.f,
-            },
-        )
-    result = v // qprime.f
+        sc._derived[key] = entry = {
+            "stage": "ratio_valuation",
+            "field": j,
+            "q_prime": {"p": qj.p, "f": f_prime},
+            "t_prime": _decimal(t_prime),
+            "t_second": _decimal(t_second),
+            "valuation": v // f_prime,
+        }
     if log is not None:
-        log.append(
-            {
-                "stage": "ratio_valuation",
-                "point": x,
-                "field": j,
-                "q_prime": {"p": qprime.p, "f": qprime.f},
-                "t_prime": _decimal(t_prime),
-                "t_second": _decimal(t_second),
-                "valuation": result,
-            }
-        )
-    return result
+        log.append({**entry, "point": x})
+    return entry["valuation"]
 
 
 # --- the rigidity pipeline ---------------------------------------------------
@@ -492,19 +504,11 @@ def _orbit_tuple(s: Multisegment) -> tuple[tuple[str, int, int], ...]:
     )
 
 
-def _certify_point(
-    sc: FamilyScenario,
-    x0: str,
-    x: str,
-    valuation: Callable[[str, int], int],
-) -> dict:
+def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
     """Compare the traces computed at x from the assignments against the
     values used to build the locus (the declared value where there is one);
     any mismatch, or a comparable point with equal valuation but a
-    different twist orbit, is a violation.
-
-    valuation gives the ratio valuation at (point, slot) from run_pipeline's
-    table, which is keyed by the point's assignment and the slot."""
+    different twist orbit, is a violation."""
     problems = []
     details = []
     for i in range(len(sc.fields)):
@@ -512,8 +516,8 @@ def _certify_point(
         s = sc.assignment[x][i]
         witness = sc._derive(twist_comparison_witness, s0, s)
         computed_t = 1 if witness is not None else 0
-        computed_rv = valuation(x, i)
-        rv_x0 = valuation(x0, i)
+        computed_rv = ratio_valuation(sc, x, i, log)
+        rv_x0 = ratio_valuation(sc, x0, i, log)
         used_t = sc.declared_type_traces.get(i, {}).get(x, computed_t)
         used_rv = sc.declared_ratio_valuations.get(i, {}).get(x, computed_rv)
         entry = {
@@ -573,14 +577,10 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     step 2 shrinks further by constancy of the per-field ratio valuations.
     Every surviving dense point is then certified or flagged.
 
-    A family repeats a few multisegments over many points, so every table
-    is keyed by value.  In one run each ratio valuation is computed once per
-    (assignment[x], slot): the whole per-point tuple, since the Iwahori
-    factors of the other slots enter t_prime.  Twist witnesses, shadows and
-    Iwahori factors are kept by value in sc._derived for every with_seeds
-    copy.  A valuation that is looked up again appends a copy of its first
-    trace_log entry with "point" set to x, so the log reads as if each
-    lookup had been computed.
+    A family repeats a few multisegments over many points, so twist
+    witnesses, shadows, Iwahori factors and ratio valuations are kept by
+    value in sc._derived, for this run, later runs and every with_seeds
+    copy.
     """
     problems = scenario_violations(sc)
     if problems:
@@ -590,18 +590,6 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
 
     log: list = []
     nf = len(sc.fields)
-    valuations: dict[tuple[tuple, int], tuple[int, dict]] = {}
-
-    def valuation(x: str, j: int) -> int:
-        key = (sc.assignment[x], j)
-        known = valuations.get(key)
-        if known is not None:
-            log.append({**known[1], "point": x})
-            return known[0]
-        value = ratio_valuation(sc, x, j, log)
-        valuations[key] = (value, log[-1])
-        return value
-
     locus = sc.site.points
     for i in range(nf):
         declared = sc.declared_type_traces.get(i, {})
@@ -630,14 +618,16 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
         sub = subspace(sc.site, locus)
         declared = sc.declared_ratio_valuations.get(j, {})
         # a declared point's valuation is still computed: it is in the log
-        sigma_vals = {x: declared.get(x, valuation(x, j)) for x in sorted(locus & sc.sigma)}
+        sigma_vals = {
+            x: declared.get(x, ratio_valuation(sc, x, j, log)) for x in sorted(locus & sc.sigma)
+        }
         trace = SimulatedTrace.from_sigma(
             sub, sigma_vals, f"ratio valuation, field {j}"
         )
         locus = clopen_locus(trace, x0)
 
     verdicts = tuple(
-        _certify_point(sc, x0, x, valuation)
+        _certify_point(sc, x0, x, log)
         for x in sorted(locus & sc.sigma)
     )
     return RigidityReport(

@@ -610,6 +610,71 @@ class TestLineDeclarations:
         assert fam.scenario_from_json(again) == sc
 
 
+class TestLeqLineDeclarations:
+    """seg --leq: one line id names one line across both documents."""
+
+    @pytest.mark.parametrize("declaring", ["input", "other"])
+    def test_declared_in_one_document_undeclared_in_the_other(self, capsys, declaring):
+        declared = _seg_doc(("A", "c0", 0, 1), lines=[A_BLOCK_2])
+        undeclared = _seg_doc(("A", "c0", 0, 1))
+        pair = (declared, undeclared) if declaring == "input" else (undeclared, declared)
+        status = main(["seg", pair[0], "--leq", pair[1]])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "error: conflicting declarations for line 'A'\n"
+
+    def test_equal_declarations_compare(self, capsys):
+        one = _seg_doc(("A", "c0", 0, 2), lines=[A_BLOCK_2])
+        two = _seg_doc(("A", "c0", 0, 1), ("A", "c0", 1, 1), lines=[A_BLOCK_2])
+        status, doc = run_cli(capsys, "seg", one, "--leq", two)
+        assert status == 0
+        assert doc["leq"] is True
+
+
+class TestDeclaredWithoutEffect:
+    """A declared value at a slot index with no field, or at a point outside
+    sigma, is never read, so the scenario is rejected rather than run."""
+
+    @pytest.mark.parametrize(
+        "path, value, problems",
+        [
+            (["declared", "type_traces", "5"], {"c": 1},
+             "declared type_traces index 5 is past the last field"),
+            (["declared", "ratio_valuations", "3"], {},
+             "declared ratio_valuations index 3 is past the last field"),
+            (["declared", "type_traces", "0"], {"nowhere": 0},
+             "declared type_traces index 0 names 'nowhere', not a point of sigma"),
+            (["declared", "ratio_valuations", "0"], {"z": 0, "c": 0, "y": 1},
+             "declared ratio_valuations index 0 names 'y', not a point of sigma; "
+             "declared ratio_valuations index 0 names 'z', not a point of sigma"),
+        ],
+        ids=["type-trace-slot", "ratio-valuation-slot", "type-trace-point", "sorted-points"],
+    )
+    def test_exit_one_with_one_line(self, capsys, path, value, problems):
+        status = main(["family", _readme_with(path, value), "a"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == f"error: invalid scenario: {problems}\n"
+
+    def test_messages_sorted_across_blocks_and_slots(self):
+        doc = json.loads(readme_scenario())
+        doc["fields"].append({"p": 2, "f": 1})
+        for x in ("a", "b", "c"):
+            doc["assignment"][x].append(doc["assignment"][x][0])
+        doc["declared"] = {
+            "ratio_valuations": {"2": {}, "1": {"w": 0}},
+            "type_traces": {"1": {"v": 1, "u": 0}, "0": {"c": 1}},
+        }
+        assert fam.scenario_violations(fam.scenario_from_json(doc)) == [
+            "declared type_traces index 1 names 'u', not a point of sigma",
+            "declared type_traces index 1 names 'v', not a point of sigma",
+            "declared ratio_valuations index 1 names 'w', not a point of sigma",
+            "declared ratio_valuations index 2 is past the last field",
+        ]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["seg", MS_SINGLETONS, "--closure", "--statistic", "--order"]
@@ -1330,7 +1395,6 @@ PUBLIC = {
         "FamilyScenario", "FiniteSite", "RigidityReport", "SimulatedTrace",
         "base_change_shadow", "clopen_locus", "is_dense", "iwahori_trace", "k1_trace",
         "ratio_valuation", "run_pipeline", "scenario_from_json", "scenario_to_json",
-        "type_trace",
     ],
     "exceptions": ["DomainError", "ModelViolation"],
 }

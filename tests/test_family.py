@@ -28,7 +28,6 @@ from bzcalc.family import (
     scenario_to_json,
     scenario_violations,
     subspace,
-    type_trace,
     twist_comparison_witness,
 )
 from bzcalc.segments import (
@@ -219,28 +218,31 @@ class TestClopenLocus:
 
 
 class TestTypeTrace:
+    """The type trace is 1 iff a twist comparison witness exists."""
+
     def test_reflexive(self):
         s = ms((0, 2), (3, 1))
-        assert type_trace(s, s) == 1
+        assert twist_comparison_witness(s, s) is not None
 
     def test_pure_twist(self):
-        assert type_trace(ms((0, 2)), ms((5, 2))) == 1
+        assert twist_comparison_witness(ms((0, 2)), ms((5, 2))) is not None
 
     def test_incomparable_direction(self):
-        assert type_trace(ms((0, 1), (1, 1)), ms((0, 2))) == 0
+        assert twist_comparison_witness(ms((0, 1), (1, 1)), ms((0, 2))) is None
 
     def test_strictly_dominated(self):
-        assert type_trace(ms((0, 2)), ms((0, 1), (1, 1))) == 1
+        assert twist_comparison_witness(ms((0, 2)), ms((0, 1), (1, 1))) is not None
 
     def test_different_inertial_support(self):
         other = Multisegment([Segment(CuspidalLine("A", 1, "ram"), "c0", 0, 2)])
-        assert type_trace(ms((0, 2)), other) == 0
+        assert twist_comparison_witness(ms((0, 2)), other) is None
 
     def test_twist_invariance_both_arguments(self):
         s0, s = ms((0, 2), (4, 1)), ms((0, 1), (1, 1), (4, 1))
-        base = type_trace(s0, s)
-        assert type_trace(ms((7, 2), (2, 1)), s) == base
-        assert type_trace(s0, ms((10, 1), (11, 1), (3, 1), coset="c9")) == base
+        base = twist_comparison_witness(s0, s) is not None
+        assert (twist_comparison_witness(ms((7, 2), (2, 1)), s) is not None) == base
+        twisted = ms((10, 1), (11, 1), (3, 1), coset="c9")
+        assert (twist_comparison_witness(s0, twisted) is not None) == base
 
     def test_witness_support_and_order(self):
         s0, s = ms((0, 2)), ms((3, 1), (4, 1))
@@ -758,23 +760,33 @@ class TestPipelineMemo:
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "tampered"])
     def test_each_point_and_slot_evaluated_once(self, monkeypatch, adversarial):
-        """At most once per (point, slot): once per (s0, s) and once per
-        (assignment[x], slot), fewer than the (point, slot) lookups."""
+        """Once per (s0, s), and once per (assignment[x], slot): k1_trace runs
+        twice (over q' and q'') per ratio valuation computed, for fewer keys
+        than the (point, slot) lookups."""
         sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=adversarial)
-        valuation_calls: Counter = Counter()
+        k1_calls: Counter = Counter()
         witness_calls: Counter = Counter()
-        real_valuation = family.ratio_valuation
+        looking_up = []  # the (assignment[x], slot) of the valuation running
+        real_valuation, real_k1 = family.ratio_valuation, family.k1_trace
         real_witness = family.twist_comparison_witness
 
-        def counting_valuation(sc, x, j, log=None):
-            valuation_calls[(sc.assignment[x], j)] += 1
-            return real_valuation(sc, x, j, log)
+        def tracking_valuation(sc, x, j, log=None):
+            looking_up.append((sc.assignment[x], j))
+            try:
+                return real_valuation(sc, x, j, log)
+            finally:
+                looking_up.pop()
+
+        def counting_k1(s, q, seed):
+            k1_calls[looking_up[-1]] += 1
+            return real_k1(s, q, seed)
 
         def counting_witness(s0, s):
             witness_calls[(s0, s)] += 1
             return real_witness(s0, s)
 
-        monkeypatch.setattr(family, "ratio_valuation", counting_valuation)
+        monkeypatch.setattr(family, "ratio_valuation", tracking_valuation)
+        monkeypatch.setattr(family, "k1_trace", counting_k1)
         monkeypatch.setattr(family, "twist_comparison_witness", counting_witness)
         report = family.run_pipeline(sc, x0)
 
@@ -786,17 +798,81 @@ class TestPipelineMemo:
         assert set(witness_calls) == witness_keys
         assert set(witness_calls.values()) == {1}
         assert len(witness_keys) < len(sc.sigma) * n_fields
-        assert set(valuation_calls.values()) == {1}
+        assert set(k1_calls.values()) == {2}
 
         logged = [e for e in report.trace_log if e["stage"] == "ratio_valuation"]
         looked_up = {(e["point"], e["field"]) for e in logged}
         assert {(x, j) for x in report.locus for j in range(n_fields)} <= looked_up
-        assert {(sc.assignment[x], j) for x, j in looked_up} == set(valuation_calls)
-        assert len(valuation_calls) < len(looked_up) < len(logged)
+        assert {(sc.assignment[x], j) for x, j in looked_up} == set(k1_calls)
+        assert len(k1_calls) < len(looked_up) < len(logged)
+        monkeypatch.undo()
+        fresh_sc = replace(sc, _derived={})
         for entry in logged:  # a repeated lookup logs what a fresh one would
             fresh = []
-            real_valuation(sc, entry["point"], entry["field"], fresh)
+            real_valuation(fresh_sc, entry["point"], entry["field"], fresh)
             assert entry == fresh[0]
+
+    def test_second_run_computes_nothing(self, monkeypatch):
+        """A run from another base point with the same locus finds every
+        valuation it looks up kept by the first run, and logs what a run on
+        a fresh scenario logs."""
+        sc = three_point_scenario()
+        assert run_pipeline(sc, "a").locus == ("a", "b")
+        k1_calls = []
+        real_k1 = family.k1_trace
+
+        def counting_k1(s, q, seed):
+            k1_calls.append(s)
+            return real_k1(s, q, seed)
+
+        monkeypatch.setattr(family, "k1_trace", counting_k1)
+        report = run_pipeline(sc, "b")
+        assert report.locus == ("a", "b")
+        assert k1_calls == []
+        assert report.to_json() == run_pipeline(replace(sc, _derived={}), "b").to_json()
+
+    def test_with_seeds_copy_recomputes(self, monkeypatch):
+        """A copy shares sc._derived, but its seeds are part of the key."""
+        sc = three_point_scenario()
+        first = run_pipeline(sc, "a")
+        k1_calls = []
+        real_k1 = family.k1_trace
+
+        def counting_k1(s, q, seed):
+            k1_calls.append(seed)
+            return real_k1(s, q, seed)
+
+        monkeypatch.setattr(family, "k1_trace", counting_k1)
+        copy = sc.with_seeds(5, 6)
+        report = run_pipeline(copy, "a")
+        # a, b and c at slot 0, each over q' and q''
+        assert k1_calls == [5] * 6
+        assert report.trace_log != first.trace_log
+        assert report.to_json() == run_pipeline(replace(copy, _derived={}), "a").to_json()
+
+    def test_replace_copy_with_another_degree_gets_its_own_entry(self):
+        """Point b of a copy holds a segment on a block-2 line, so slot 0's
+        degree, hence q', doubles while point a's tuple stays the same: a
+        key without q' would log the original's entry for the copy."""
+        sc = FamilyScenario(
+            fields=(PrimePower(3, 1),),
+            site=FiniteSite.of(["a", "b"], [[], ["a", "b"]]),
+            sigma=frozenset({"a", "b"}),
+            assignment={"a": (ms((0, 2)),), "b": (ms((3, 2)),)},
+            unit_seeds={"k1": 17, "iwahori": 5},
+        )
+        log = []
+        ratio_valuation(sc, "a", 0, log)
+        block_two = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 1)])
+        copy = replace(sc, assignment={**sc.assignment, "b": (block_two,)})
+        assert copy._derived is sc._derived
+        assert (sc._trivializing_degrees, copy._trivializing_degrees) == ((1,), (2,))
+        copy_log, fresh_log = [], []
+        ratio_valuation(copy, "a", 0, copy_log)
+        ratio_valuation(replace(copy, _derived={}), "a", 0, fresh_log)
+        assert copy_log == fresh_log
+        assert copy_log[0]["q_prime"] == {"p": 3, "f": 2}
+        assert log[0]["q_prime"] == {"p": 3, "f": 1}
 
     def test_valuation_key_is_the_whole_point_tuple(self):
         """a and b hold one slot-0 multisegment and twists of each other at
