@@ -29,7 +29,7 @@ _SOURCE = {
             "steinberg_k1_dim", "triangle_check", "valuation_statistic", "vp",
         )),
         ("weildeligne", (
-            "JordanPartition", "WDShadow", "exp_nilpotent", "nonzero_count_exp",
+            "JordanPartition", "WDShadow", "exp_nilpotent", "nonzero_count",
             "wd_from_multisegment",
         )),
         ("family", (

@@ -29,16 +29,16 @@ def _load_json(source: str):
     """Parse inline JSON (starts with '{'), stdin ('-'), or a file path."""
     if source.lstrip().startswith("{"):
         text, origin = source, "<inline>"
-    elif source == "-":
-        text, origin = sys.stdin.read(), "<stdin>"
     else:
+        origin = "<stdin>" if source == "-" else source
         try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DomainError(f"cannot read {source}: {exc}") from exc
-        origin = source
+            text = sys.stdin.read() if source == "-" else Path(source).read_text("utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
+            raise DomainError(f"cannot read {origin}: {exc}") from exc
     try:
         return json.loads(text)
+    except RecursionError:
+        raise DomainError(f"malformed JSON in {origin}: nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {origin} at line {exc.lineno}, "
@@ -307,7 +307,7 @@ def cmd_wd(args) -> int:
     _emit(
         {
             "shadow": wd.wd_to_json(shadow),
-            "exp": [[str(x) for x in row] for row in mat.entries],
+            "exp": [[str(x) for x in row] for row in mat],
             "nonzero_count": count,
             "closed_form": closed,
             "match": count == closed,
@@ -367,7 +367,7 @@ def cmd_selftest(args) -> int:
     check(
         "exp(N) nonzero count n<=8",
         all(
-            wd.nonzero_count_exp(p) == wd.partition_statistic(p)
+            wd.nonzero_count(wd.exp_nilpotent(p)) == wd.partition_statistic(p)
             for p in {
                 wd.JordanPartition(c.parts) for n in range(1, 9) for c in dims.compositions(n)
             }

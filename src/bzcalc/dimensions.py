@@ -145,9 +145,11 @@ class Composition:
     parts: tuple[int, ...]
 
     def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(int(x) for x in parts))
-        if not self.parts or any(x < 1 for x in self.parts):
-            raise DomainError(f"composition parts must be >= 1, got {parts!r}")
+        object.__setattr__(self, "parts", tuple(parts))
+        # type() rather than isinstance(): a bool is an int
+        if not self.parts or not all(type(x) is int and x >= 1 for x in self.parts):
+            need = ">= 1" if all(type(x) is int for x in self.parts) else "integers"
+            raise DomainError(f"composition parts must be {need}, got {parts!r}")
 
     @property
     def n(self) -> int:

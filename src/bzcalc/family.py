@@ -703,6 +703,9 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
             for k, v in _json_typed(doc["unit_seeds"], dict, '"unit_seeds"').items()
         }
         declared = _json_typed(doc.get("declared", {}), dict, '"declared"')
+        unknown = sorted(declared.keys() - {"type_traces", "ratio_valuations"})
+        if unknown:
+            raise DomainError(f'"declared" has unknown kinds {unknown}')
         type_traces = _indexed(declared.get("type_traces", {}), "type_traces")
         ratio_valuations = _indexed(
             declared.get("ratio_valuations", {}), "ratio_valuations"

@@ -26,11 +26,11 @@ class JordanPartition:
     blocks: tuple[int, ...]
 
     def __init__(self, blocks: Iterable[int]):
-        object.__setattr__(
-            self, "blocks", tuple(sorted((int(b) for b in blocks), reverse=True))
-        )
-        if any(b < 1 for b in self.blocks):
-            raise DomainError(f"block sizes must be >= 1, got {blocks!r}")
+        sizes = tuple(blocks)  # checked before sorting: a str does not sort with ints
+        if not all(type(b) is int and b >= 1 for b in sizes):
+            need = ">= 1" if all(type(b) is int for b in sizes) else "integers"
+            raise DomainError(f"block sizes must be {need}, got {blocks!r}")
+        object.__setattr__(self, "blocks", tuple(sorted(sizes, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -49,35 +49,16 @@ class WDShadow:
     partition: JordanPartition
 
     def __init__(self, inertia: Iterable[tuple[str, int]], partition: JordanPartition):
-        object.__setattr__(
-            self, "inertia", tuple(sorted((str(l), int(d)) for l, d in inertia))
-        )
+        pairs = tuple((str(l), d) for l, d in inertia)
+        if not all(type(d) is int for _, d in pairs):
+            raise DomainError(f"inertia dimensions must be integers, got {pairs!r}")
+        object.__setattr__(self, "inertia", tuple(sorted(pairs)))
         object.__setattr__(self, "partition", partition)
         if sum(d for _, d in self.inertia) != partition.n:
             raise DomainError(
                 f"inertia dimension {sum(d for _, d in self.inertia)} "
                 f"does not match partition size {partition.n}"
             )
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A square matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
 
 
 def wd_from_multisegment(s: Multisegment) -> WDShadow:
@@ -92,7 +73,7 @@ def wd_from_multisegment(s: Multisegment) -> WDShadow:
     return WDShadow(inertia, JordanPartition(blocks))
 
 
-def exp_nilpotent(p: JordanPartition) -> RationalMatrix:
+def exp_nilpotent(p: JordanPartition) -> tuple[tuple[Fraction, ...], ...]:
     """Exact exp(N), written down block by block.
 
     N is in Jordan form, so N^k moves each block's basis k steps along its
@@ -111,22 +92,17 @@ def exp_nilpotent(p: JordanPartition) -> RationalMatrix:
                 (_ZERO,) * (offset + r) + coeffs[: size - r] + (_ZERO,) * (n - offset - size)
             )
         offset += size
-    return RationalMatrix(tuple(rows))
+    return tuple(rows)
 
 
-def nonzero_count(mat: RationalMatrix) -> int:
-    """Number of nonzero entries of mat - id."""
+def nonzero_count(rows: tuple[tuple[Fraction, ...], ...]) -> int:
+    """Number of nonzero entries of rows - id."""
     return sum(
         1
-        for i, row in enumerate(mat.entries)
+        for i, row in enumerate(rows)
         for j, x in enumerate(row)
         if x != (1 if i == j else 0)
     )
-
-
-def nonzero_count_exp(p: JordanPartition) -> int:
-    """Number of nonzero entries of exp(N) - id, counted from the exact matrix."""
-    return nonzero_count(exp_nilpotent(p))
 
 
 def partition_statistic(p: JordanPartition) -> int:

@@ -32,7 +32,8 @@ from bzcalc.segments import (
 )
 from bzcalc.weildeligne import (
     JordanPartition,
-    nonzero_count_exp,
+    exp_nilpotent,
+    nonzero_count,
     partition_statistic,
 )
 
@@ -137,9 +138,9 @@ def test_criterion_6_exp_count():
     for n in range(1, 11):
         for blocks in _partitions(n):
             p = JordanPartition(blocks)
-            # nonzero_count_exp counts entries of the exact matrix that
+            # nonzero_count counts entries of the exact matrix that
             # exp_nilpotent builds from the Jordan blocks
-            assert nonzero_count_exp(p) == partition_statistic(p)
+            assert nonzero_count(exp_nilpotent(p)) == partition_statistic(p)
     _report("6 exp(N) nonzero count, partitions of n <= 10", time.perf_counter() - start, 5)
 
 

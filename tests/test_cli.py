@@ -226,6 +226,16 @@ def _readme_with(path, value):
     return json.dumps(doc)
 
 
+def _readme_declared_as(kind, misspelled):
+    """The README scenario, as JSON text, with its declared kind renamed."""
+    doc = json.loads(readme_scenario())
+    doc["declared"][misspelled] = doc["declared"].pop(kind)
+    return json.dumps(doc)
+
+
+# A document nested 100,000 deep, past the parser's recursion limit.
+DEEP_DOC = '{"segments": ' + "[" * 100000 + "]" * 100000 + "}"
+
 # An output path in a directory that does not exist.
 MISSING_DIR_FILE = str(Path(__file__).resolve().parent / "no-such-dir" / "x.json")
 
@@ -279,6 +289,9 @@ class TestMalformedNumbers:
             ["family", _readme_with(["declared", "type_traces", "\u00b2"], {}), "a"],
             ["family", readme_scenario(), "a", "--seeds", "0"],
             ["family", readme_scenario(), "a", "--seeds", "-3"],
+            ["family", _readme_declared_as("type_traces", "type_trace"), "a"],
+            ["family", _readme_declared_as("ratio_valuations", "ratio_valuation"), "a"],
+            ["seg", DEEP_DOC],
         ],
         ids=[
             "segment-start",
@@ -318,6 +331,9 @@ class TestMalformedNumbers:
             "family-declared-index-superscript",
             "family-seeds-zero",
             "family-seeds-negative",
+            "family-declared-kind-type-trace",
+            "family-declared-kind-ratio-valuation",
+            "seg-nested-100000-deep",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, argv):
@@ -327,6 +343,33 @@ class TestMalformedNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                b'\xff\xfe{"segments": []}',
+                "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte",
+            ),
+            (DEEP_DOC.encode(), "malformed JSON in {}: nested too deeply"),
+        ],
+        ids=["not-utf-8", "nested-100000-deep"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["seg", "FILE"], ["seg", _wd_segment(), "--leq", "FILE"], ["family", "FILE", "a"]],
+        ids=["seg", "seg-leq", "family"],
+    )
+    def test_unreadable_file(self, capsys, tmp_path, content, message, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [str(path) if arg == "FILE" else arg for arg in command]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path)}\n"
 
 
 class TestIdentityCheck:
@@ -735,6 +778,22 @@ class TestDeterminism:
         assert runs[0].stderr.startswith(
             b"error: invalid scenario: closed set ['x'] is not a subset of the space; "
             b"closed set ['y'] is not a subset of the space; "
+        )
+        assert all(r.stderr == runs[0].stderr for r in runs)
+
+    def test_unknown_declared_kinds_independent_of_hash_seed(self):
+        """Every unknown kind of "declared" is named, in sorted order."""
+        doc = json.loads(readme_scenario())
+        doc["declared"].update(type_trace={}, ratio_valuation={}, traces={})
+        runs = [
+            _python("-m", "bzcalc.cli", "family", json.dumps(doc), "a",
+                    PYTHONHASHSEED=str(seed))
+            for seed in range(4)
+        ]
+        assert [r.returncode for r in runs] == [1] * 4
+        assert runs[0].stderr == (
+            b"error: malformed scenario: \"declared\" has unknown kinds "
+            b"['ratio_valuation', 'traces', 'type_trace']\n"
         )
         assert all(r.stderr == runs[0].stderr for r in runs)
 
@@ -1388,7 +1447,7 @@ PUBLIC = {
         "steinberg_k1_dim", "triangle_check", "valuation_statistic", "vp",
     ],
     "weildeligne": [
-        "JordanPartition", "WDShadow", "exp_nilpotent", "nonzero_count_exp",
+        "JordanPartition", "WDShadow", "exp_nilpotent", "nonzero_count",
         "wd_from_multisegment",
     ],
     "family": [

@@ -306,6 +306,9 @@ class TestPrimePower:
     [
         (lambda: PrimePower(2, 0), "f must be >= 1, got 0"),
         (lambda: Composition([0]), "composition parts must be >= 1, got [0]"),
+        (lambda: Composition([1.5, 2]), "composition parts must be integers, got [1.5, 2]"),
+        (lambda: Composition([True, 2]), "composition parts must be integers, got [True, 2]"),
+        (lambda: Composition(["2"]), "composition parts must be integers, got ['2']"),
         (lambda: next(compositions(0)), "n must be >= 1, got 0"),
         (lambda: steinberg_k1_dim(0, PrimePower(2, 1)), "n must be >= 1, got 0"),
         (lambda: elementary_statistic_delta(0, 1, 0), "lengths must be >= 1, got (0, 1)"),
@@ -316,7 +319,8 @@ class TestPrimePower:
         (lambda: iwahori_trace(ms((0, 1)), 0, 5), "n must be >= 1, got 0"),
     ],
     ids=[
-        "prime-power-f-zero", "composition-part-zero", "compositions-of-zero",
+        "prime-power-f-zero", "composition-part-zero", "composition-part-float",
+        "composition-part-bool", "composition-part-str", "compositions-of-zero",
         "steinberg-n-zero", "statistic-delta-length-zero", "triangle-multiplicity-zero",
         "iwahori-n-zero",
     ],

@@ -8,11 +8,10 @@ from bzcalc.exceptions import DomainError
 from bzcalc.segments import CuspidalLine, Multisegment, Segment, statistic
 from bzcalc.weildeligne import (
     JordanPartition,
-    RationalMatrix,
     WDShadow,
     exp_nilpotent,
     monodromy_weight,
-    nonzero_count_exp,
+    nonzero_count,
     partition_statistic,
     wd_from_multisegment,
     wd_to_json,
@@ -34,22 +33,25 @@ def partitions(n, largest=None):
 # --- dense matrix oracle ----------------------------------------------------
 #
 # exp_nilpotent writes 1/k! on each Jordan block's k-th superdiagonal; these
-# dense products check it from the definition.
+# dense products check it from the definition.  A matrix is a tuple of rows.
 
 
-def _matmul(a, b):
-    n = a.size
-    x, y = a.entries, b.entries
-    return RationalMatrix(
-        tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+def _identity(n):
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def _matmul(x, y):
+    n = len(x)
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
     )
 
 
 def _is_zero(mat):
-    return all(x == 0 for row in mat.entries for x in row)
+    return all(x == 0 for row in mat for x in row)
 
 
 def _nilpotent_matrix(p):
@@ -61,7 +63,7 @@ def _nilpotent_matrix(p):
         for i in range(size - 1):
             rows[offset + i][offset + i + 1] = Fraction(1)
         offset += size
-    return RationalMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 def _rank(rows):
@@ -88,12 +90,12 @@ def _rank(rows):
 
 def _jordan_blocks_from_ranks(mat):
     """Recover block sizes of a nilpotent matrix from ranks of its powers."""
-    n = mat.size
+    n = len(mat)
     ranks = [n]
-    power = RationalMatrix.identity(n)
+    power = _identity(n)
     for _ in range(n + 1):
         power = _matmul(power, mat)
-        ranks.append(_rank(power.entries))
+        ranks.append(_rank(power))
     blocks = []
     for k in range(1, n + 1):
         count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
@@ -108,7 +110,7 @@ class TestWdFromMultisegment:
     def test_singletons_give_zero_monodromy(self):
         shadow = wd_from_multisegment(ms((0, 1), (1, 1), (2, 1)))
         assert shadow.partition == JordanPartition((1, 1, 1))
-        assert nonzero_count_exp(shadow.partition) == 0
+        assert nonzero_count(exp_nilpotent(shadow.partition)) == 0
 
     def test_block_two_line_duplicates_blocks(self):
         s = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 3)])
@@ -117,16 +119,14 @@ class TestWdFromMultisegment:
         assert shadow.inertia == (("ram", 6),)
         # independent check: Jordan type of id_2 (x) N_3 from ranks of powers
         n3 = _nilpotent_matrix(JordanPartition((3,)))
-        kron = RationalMatrix(
+        kron = tuple(
             tuple(
-                tuple(
-                    n3.entries[i][j] if a == b else Fraction(0)
-                    for b in range(2)
-                    for j in range(3)
-                )
-                for a in range(2)
-                for i in range(3)
+                n3[i][j] if a == b else Fraction(0)
+                for b in range(2)
+                for j in range(3)
             )
+            for a in range(2)
+            for i in range(3)
         )
         assert _jordan_blocks_from_ranks(kron) == JordanPartition((3, 3))
 
@@ -134,41 +134,37 @@ class TestWdFromMultisegment:
 class TestExpNilpotent:
     def test_size_one_is_identity(self):
         mat = exp_nilpotent(JordanPartition((1,)))
-        assert mat.entries == ((Fraction(1),),)
+        assert mat == ((Fraction(1),),)
 
     def test_size_two(self):
         mat = exp_nilpotent(JordanPartition((2,)))
-        assert mat.entries[0][1] == 1
-        assert mat.entries[0][0] == mat.entries[1][1] == 1
-        assert mat.entries[1][0] == 0
+        assert mat[0][1] == 1
+        assert mat[0][0] == mat[1][1] == 1
+        assert mat[1][0] == 0
 
     def test_size_three_has_exact_half(self):
         mat = exp_nilpotent(JordanPartition((3,)))
-        assert mat.entries[0][1] == mat.entries[1][2] == 1
-        assert mat.entries[0][2] == Fraction(1, 2)
+        assert mat[0][1] == mat[1][2] == 1
+        assert mat[0][2] == Fraction(1, 2)
 
     def test_unipotent_upper_triangular(self):
         for blocks in partitions(6):
             mat = exp_nilpotent(JordanPartition(blocks))
-            n = mat.size
+            n = len(mat)
             for i in range(n):
-                assert mat.entries[i][i] == 1
+                assert mat[i][i] == 1
                 for j in range(i):
-                    assert mat.entries[i][j] == 0
+                    assert mat[i][j] == 0
 
     def test_exp_minus_id_nilpotent(self):
         p = JordanPartition((3, 2))
         mat = exp_nilpotent(p)
         n = p.n
-        delta = RationalMatrix(
-            tuple(
-                tuple(
-                    mat.entries[i][j] - (1 if i == j else 0) for j in range(n)
-                )
-                for i in range(n)
-            )
+        delta = tuple(
+            tuple(mat[i][j] - (1 if i == j else 0) for j in range(n))
+            for i in range(n)
         )
-        power = RationalMatrix.identity(n)
+        power = _identity(n)
         for _ in range(n):
             power = _matmul(power, delta)
         assert _is_zero(power)
@@ -182,13 +178,13 @@ def _dense_exp(p):
     """sum_{k < n} N^k / k! from dense products of _nilpotent_matrix."""
     n = p.n
     nmat = _nilpotent_matrix(p)
-    acc = [list(row) for row in RationalMatrix.identity(n).entries]
-    power = RationalMatrix.identity(n)
+    acc = [list(row) for row in _identity(n)]
+    power = _identity(n)
     for k in range(1, n):
         power = _matmul(power, nmat)
         for i in range(n):
             for j in range(n):
-                acc[i][j] += power.entries[i][j] / math.factorial(k)
+                acc[i][j] += power[i][j] / math.factorial(k)
     assert _is_zero(_matmul(power, nmat))
     return acc
 
@@ -199,32 +195,33 @@ class TestExpOracle:
         for blocks in partitions(n):
             p = JordanPartition(blocks)
             mat = exp_nilpotent(p)
-            assert mat.size == n
-            assert [list(row) for row in mat.entries] == _dense_exp(p)
-            assert all(isinstance(x, Fraction) for row in mat.entries for x in row)
+            assert isinstance(mat, tuple) and all(isinstance(row, tuple) for row in mat)
+            assert len(mat) == n and all(len(row) == n for row in mat)
+            assert [list(row) for row in mat] == _dense_exp(p)
+            assert all(isinstance(x, Fraction) for row in mat for x in row)
 
 
 class TestNonzeroCount:
     def test_examples(self):
-        assert nonzero_count_exp(JordanPartition((1, 1, 1))) == 0
-        assert nonzero_count_exp(JordanPartition((3,))) == 3
-        assert nonzero_count_exp(JordanPartition((2, 1))) == 1
+        assert nonzero_count(exp_nilpotent(JordanPartition((1, 1, 1)))) == 0
+        assert nonzero_count(exp_nilpotent(JordanPartition((3,)))) == 3
+        assert nonzero_count(exp_nilpotent(JordanPartition((2, 1)))) == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matrix_count_matches_closed_form(self, n):
         for blocks in partitions(n):
             p = JordanPartition(blocks)
-            assert nonzero_count_exp(p) == partition_statistic(p)
+            assert nonzero_count(exp_nilpotent(p)) == partition_statistic(p)
 
     def test_ties_count_to_multisegment_statistic(self):
         s = ms((0, 3), (1, 2))
         p = wd_from_multisegment(s).partition
-        assert nonzero_count_exp(p) == statistic(s) == monodromy_weight(s)
+        assert nonzero_count(exp_nilpotent(p)) == statistic(s) == monodromy_weight(s)
 
     def test_block_weighted_count(self):
         s = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 3)])
         p = wd_from_multisegment(s).partition
-        assert nonzero_count_exp(p) == monodromy_weight(s) == 6
+        assert nonzero_count(exp_nilpotent(p)) == monodromy_weight(s) == 6
 
 
 class TestShadowValidation:
@@ -235,6 +232,36 @@ class TestShadowValidation:
     def test_nonpositive_block_rejected(self):
         with pytest.raises(DomainError):
             JordanPartition((2, 0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: JordanPartition((2.9, True)),
+                "block sizes must be integers, got (2.9, True)",
+            ),
+            (lambda: JordanPartition((True,)), "block sizes must be integers, got (True,)"),
+            (lambda: JordanPartition((2, "1")), "block sizes must be integers, got (2, '1')"),
+            (
+                lambda: WDShadow([("unr", 2.0)], JordanPartition((2,))),
+                "inertia dimensions must be integers, got (('unr', 2.0),)",
+            ),
+            (
+                lambda: WDShadow([("unr", True)], JordanPartition((1,))),
+                "inertia dimensions must be integers, got (('unr', True),)",
+            ),
+            (
+                lambda: WDShadow([("unr", "1"), ("ram", 1)], JordanPartition((1, 1))),
+                "inertia dimensions must be integers, got (('unr', '1'), ('ram', 1))",
+            ),
+        ],
+        ids=["block-float", "block-bool", "block-str", "dim-float", "dim-bool", "dim-str"],
+    )
+    def test_non_integer_size_rejected(self, call, message):
+        """A size that is not an int is rejected, never truncated by int()."""
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestJson:
