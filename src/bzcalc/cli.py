@@ -32,7 +32,11 @@ def _load_json(source: str):
     else:
         origin = "<stdin>" if source == "-" else source
         try:
-            text = sys.stdin.read() if source == "-" else Path(source).read_text("utf-8")
+            if source == "-":  # stdin's bytes, decoded strictly; a replaced stdin has text
+                text = getattr(sys.stdin, "buffer", sys.stdin).read()
+                text = text if isinstance(text, str) else text.decode("utf-8")
+            else:
+                text = Path(source).read_text("utf-8")
         except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
             raise DomainError(f"cannot read {origin}: {exc}") from exc
     try:
@@ -66,7 +70,10 @@ class _Rendered:
         return self.size
 
 
-def _dumps(doc, indent: str = "") -> str:
+_BATCH = 1024  # pieces of a streamed report held before they are written
+
+
+def _dumps(doc, indent: str = "", flush=None) -> str:
     """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for a
     document of dicts with str keys, lists, tuples, str, int, bool, None
     and _Rendered arrays.  Every line after the first is indented by indent
@@ -75,10 +82,13 @@ def _dumps(doc, indent: str = "") -> str:
     json.dumps with an indent falls back to CPython's pure-Python encoder,
     which yields separator, key and value as separate strings.  Here the
     text of a line up to and including a scalar value (separator, indent,
-    key and value) is one string, and the strings are joined once.
+    key and value) is one string, and the strings are joined once.  With
+    flush (a stream's writelines), every _BATCH pieces go to flush unjoined,
+    so no batch is copied, and only the rest is joined and returned.
     """
     pieces: list[str] = []
     append = pieces.append
+    batch = _BATCH if flush else sys.maxsize
 
     def write(value, head: str, indent: str) -> None:
         # head: the text before value on its line, not yet written
@@ -110,15 +120,17 @@ def _dumps(doc, indent: str = "") -> str:
                 return
             inner = indent + "  "
             lead = head + "[\n" + inner
-            if isinstance(value, _Rendered):
-                for text in value.texts(inner):
+            rendered = isinstance(value, _Rendered)
+            for item in value.texts(inner) if rendered else value:
+                if rendered:
                     append(lead)
-                    append(text)
-                    lead = ",\n" + inner
-            else:
-                for item in value:
+                    append(item)
+                else:
                     write(item, lead, inner)
-                    lead = ",\n" + inner
+                lead = ",\n" + inner
+                if len(pieces) >= batch:
+                    flush(pieces)
+                    pieces.clear()
             append("\n" + indent + "]")
         else:
             raise TypeError(
@@ -179,14 +191,36 @@ def _edges(rows: list) -> _Rendered:
     return _Rendered(len(rows), texts)
 
 
+def _by_body(elements) -> _Rendered:
+    """The array of elements, dicts with a "point": each distinct body (an
+    element less its point) is rendered once, and each point spliced in.
+    Elements whose other values are the same objects, as the pipeline's
+    copies of one derived entry or verdict are, share a body."""
+
+    def texts(indent: str):
+        cut = "\n" + indent + '  "point": '
+        bodies: dict = {}
+        for e in elements:
+            key = tuple([(k, id(v)) for k, v in e.items() if k != "point"])
+            body = bodies.get(key)
+            if body is None:
+                head, _, tail = _dumps({**e, "point": ""}, indent).partition(cut + '""')
+                body = bodies[key] = (head + cut, tail)
+            yield body[0] + _encode_str(e["point"]) + body[1]
+
+    return _Rendered(len(elements), texts)
+
+
 def _emit(doc: dict, output: str | None) -> None:
-    text = _dumps(doc)
+    """Write the report of doc to stdout or to the file output as it is
+    rendered, so that no more than a batch of it is held as text."""
     if not output:
-        print(text, flush=True)  # so a closed pipe raises inside main
+        # flushed, so that a closed pipe raises inside main
+        print(_dumps(doc, flush=sys.stdout.writelines), flush=True)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+            print(_dumps(doc, flush=fh.writelines), file=fh)
     except OSError as exc:
         raise DomainError(f"cannot write {output}: {exc}") from exc
 
@@ -333,7 +367,9 @@ def cmd_family(args) -> int:
                     "report is not seed-independent",
                     certificate={"reason": "seed-dependent verdict", "seed_index": k},
                 )
-    _emit(report.to_json(), args.report)
+    doc = report.to_json()
+    doc["verdicts"], doc["trace_log"] = _by_body(report.verdicts), _by_body(report.trace_log)
+    _emit(doc, args.report)
     return EXIT_VIOLATION if report.has_violations else EXIT_OK
 
 

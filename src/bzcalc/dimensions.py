@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .exceptions import DomainError
-from .segments import Multisegment, leq, statistic
+from .segments import Multisegment, _json_int, leq, statistic
 
 DEFAULT_MAX_N = 12  # the largest n for parabolic_alternating_sum
 
@@ -103,9 +103,9 @@ class PrimePower:
     f: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not _is_prime(_json_int(self.p, "p")):
             raise DomainError(f"p must be prime, got {self.p}")
-        if self.f < 1:
+        if _json_int(self.f, "f") < 1:
             raise DomainError(f"f must be >= 1, got {self.f}")
 
     @property
@@ -149,7 +149,9 @@ class Composition:
         # type() rather than isinstance(): a bool is an int
         if not self.parts or not all(type(x) is int and x >= 1 for x in self.parts):
             need = ">= 1" if all(type(x) is int for x in self.parts) else "integers"
-            raise DomainError(f"composition parts must be {need}, got {parts!r}")
+            # the parts as read, not a generator's repr
+            read = parts if isinstance(parts, (list, tuple)) else self.parts
+            raise DomainError(f"composition parts must be {need}, got {read!r}")
 
     @property
     def n(self) -> int:

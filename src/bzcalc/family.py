@@ -508,10 +508,24 @@ def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
     """Compare the traces computed at x from the assignments against the
     values used to build the locus (the declared value where there is one);
     any mismatch, or a comparable point with equal valuation but a
-    different twist orbit, is a violation."""
+    different twist orbit, is a violation.
+
+    The fields and certificates are derived once in sc._derived, keyed by
+    all they depend on: both point tuples, the declared values at x and both
+    unit seeds.  Each call appends the same trace_log entries."""
+    nf = len(sc.fields)
+    key = ("certify", sc.assignment[x0], sc.assignment[x], *(
+        (sc.declared_type_traces.get(i, {}).get(x), sc.declared_ratio_valuations.get(i, {}).get(x))
+        for i in range(nf)), sc.unit_seeds.get("k1"), sc.unit_seeds.get("iwahori"))
+    body = sc._derived.get(key)
+    if body is not None:
+        for i in range(nf):
+            ratio_valuation(sc, x, i, log)
+            ratio_valuation(sc, x0, i, log)
+        return {"point": x, **body}
     problems = []
     details = []
-    for i in range(len(sc.fields)):
+    for i in range(nf):
         s0 = sc.assignment[x0][i]
         s = sc.assignment[x][i]
         witness = sc._derive(twist_comparison_witness, s0, s)
@@ -560,14 +574,13 @@ def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
                         "base_orbit": [list(t) for t in _orbit_tuple(s0)],
                     }
                 )
-    verdict = {
-        "point": x,
+    sc._derived[key] = body = {
         "status": "violation" if problems else "certified",
         "fields": details,
     }
     if problems:
-        verdict["certificates"] = problems
-    return verdict
+        body["certificates"] = problems
+    return {"point": x, **body}
 
 
 def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
@@ -684,19 +697,22 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
         )
         sigma = frozenset(_names(doc["sigma"], '"sigma"'))
         lines = lines_from_json(doc.get("lines", []))
+        parsed: dict = {}  # one Multisegment per distinct document
+
+        def _multisegment(m) -> Multisegment:
+            key = repr(m)  # equal only for equal JSON values
+            if key not in parsed:
+                parsed[key] = multisegment_from_json(m, lines)
+            return parsed[key]
+
         assignment = {
-            x: tuple(
-                multisegment_from_json(m, lines)
-                for m in _json_typed(per_field, list, f"assignment {x!r}")
-            )
+            x: tuple(map(_multisegment, _json_typed(per_field, list, f"assignment {x!r}")))
             for x, per_field in _json_typed(doc["assignment"], dict, '"assignment"').items()
         }
         # one line per id across points: a point may re-declare a line, or use
         # it undeclared, only as the line the other points see (each distinct
         # line once, in document order)
-        for line in dict.fromkeys(
-            g.line for per_field in assignment.values() for s in per_field for g in s
-        ):
+        for line in dict.fromkeys(g.line for s in parsed.values() for g in s):
             _declare(lines, line)
         seeds = {
             k: _json_int(v, f"unit seed {k!r}")

@@ -41,7 +41,8 @@ class CuspidalLine:
     inertial_label: str | None = None
 
     def __post_init__(self):
-        if self.block_size < 1:
+        if type(self.block_size) is not int or self.block_size < 1:
+            _json_int(self.block_size, "block_size")
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
         if self.inertial_label is None:
             object.__setattr__(self, "inertial_label", self.line_id)
@@ -66,7 +67,9 @@ class Segment:
     length: int
 
     def __post_init__(self):
-        if self.length < 1:
+        if type(self.start) is not int or type(self.length) is not int or self.length < 1:
+            _json_int(self.start, "segment start")
+            _json_int(self.length, "segment length")
             raise DomainError(f"segment length must be >= 1, got {self.length}")
         object.__setattr__(
             self, "_hash", hash((self.line, self.coset, self.start, self.length))

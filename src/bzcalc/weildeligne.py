@@ -29,7 +29,8 @@ class JordanPartition:
         sizes = tuple(blocks)  # checked before sorting: a str does not sort with ints
         if not all(type(b) is int and b >= 1 for b in sizes):
             need = ">= 1" if all(type(b) is int for b in sizes) else "integers"
-            raise DomainError(f"block sizes must be {need}, got {blocks!r}")
+            read = blocks if isinstance(blocks, (list, tuple)) else sizes  # not a generator's repr
+            raise DomainError(f"block sizes must be {need}, got {read!r}")
         object.__setattr__(self, "blocks", tuple(sorted(sizes, reverse=True)))
 
     @property

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bzcalc
-from bzcalc import family as fam, segments as seg
+from bzcalc import cli, family as fam, segments as seg
 from bzcalc.cli import _dumps, main
+from bzcalc.exceptions import DomainError
 from bzcalc.family import scenario_to_json
 
 from conftest import multisegments_with_support, readme_scenario
@@ -370,6 +371,29 @@ class TestMalformedNumbers:
         assert status == 1
         assert captured.out == ""
         assert captured.err == f"error: {message.format(path)}\n"
+
+    @pytest.mark.parametrize(
+        "content, status, stderr",
+        [
+            (
+                b'\xff\xfe{"segments": []}', 1,
+                b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xff in "
+                b"position 0: invalid start byte\n",
+            ),
+            ('{"segments": [{"line": "\u03c1", "start": 0, "len": 2}]}'.encode(), 0, b""),
+        ],
+        ids=["not-utf-8", "utf-8-line-id"],
+    )
+    def test_stdin_bytes(self, content, status, stderr):
+        """stdin's bytes are decoded as strict UTF-8, as a file's are."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "bzcalc.cli", "seg", "-", "--statistic"],
+            input=content, capture_output=True, env=_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (status, stderr)
+        if status == 0:
+            inline = _python("-m", "bzcalc.cli", "seg", content.decode(), "--statistic")
+            assert proc.stdout == inline.stdout and b'"\\u03c1"' in proc.stdout
 
 
 class TestIdentityCheck:
@@ -915,6 +939,124 @@ class TestSeedReruns:
         assert len(set(per_seed.values())) == 1
 
 
+def _twinned(doc):
+    """doc with a twin x~ of every point x, holding x's multisegments, closed
+    sets and declared values: every point tuple repeats."""
+    def twin(xs):
+        return [*xs, *(x + "~" for x in xs)]
+
+    out = dict(doc, points=twin(doc["points"]), sigma=twin(doc["sigma"]),
+               closed_sets=[twin(c) for c in doc["closed_sets"]])
+    out["assignment"] = {**doc["assignment"],
+                         **{x + "~": per for x, per in doc["assignment"].items()}}
+    if "declared" in doc:
+        out["declared"] = {
+            kind: {i: {**values, **{x + "~": v for x, v in values.items()}}
+                   for i, values in block.items()}
+            for kind, block in doc["declared"].items()
+        }
+    return out
+
+
+def _body_count(elements):
+    return len({json.dumps({**e, "point": None}, sort_keys=True) for e in elements})
+
+
+class TestReportsByDistinctValue:
+    """family parses each distinct multisegment document once, certifies each
+    (base tuple, point tuple, declared values, seed pair) once, and renders
+    each distinct trace_log entry and verdict body once; json.dumps of
+    RigidityReport.to_json() is the oracle of the spliced report."""
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "3"]], ids=["one-run", "seeds-3"])
+    @pytest.mark.parametrize(
+        "seed, adversarial", [(1, False), (4, False), (0, True), (3, True)],
+        ids=["honest-1", "honest-4", "tampered-0", "tampered-3"],
+    )
+    def test_spliced_report_is_json_dumps(self, capsys, tmp_path, seed, adversarial, seeds):
+        sc, x0, _ = _twist_constant_scenario(random.Random(seed), adversarial=adversarial)
+        doc = _twinned(scenario_to_json(sc))
+        report = fam.run_pipeline(fam.scenario_from_json(doc), x0)
+        expected = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+        # the twins repeat every verdict and trace_log body under another point
+        assert _body_count(report.verdicts) <= len(report.verdicts) // 2
+        assert _body_count(report.trace_log) <= len(report.trace_log) // 2
+        assert report.has_violations == adversarial
+        argv = ["family", json.dumps(doc), x0, *seeds]
+        status = 2 if adversarial else 0
+        assert main(argv) == status
+        assert capsys.readouterr().out == expected
+        path = tmp_path / "report.json"
+        assert main([*argv, "--report", str(path)]) == status
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_equal_documents_parsed_once(self, monkeypatch):
+        sc, x0, _ = _twist_constant_scenario(random.Random(2), adversarial=True)
+        doc = _twinned(scenario_to_json(sc))
+        documents = [m for per in doc["assignment"].values() for m in per]
+        calls = []
+
+        def counting(m, lines=None):
+            calls.append(m)
+            return seg.multisegment_from_json(m, lines)
+
+        monkeypatch.setattr(fam, "multisegment_from_json", counting)
+        parsed = fam.scenario_from_json(json.loads(json.dumps(doc)))
+        distinct = {json.dumps(m, sort_keys=True) for m in documents}
+        assert len(calls) == len(distinct) < len(documents)
+        for x in sc.sigma:  # a twin shares its point's Multisegment objects
+            assert all(a is b for a, b in zip(parsed.assignment[x], parsed.assignment[x + "~"]))
+        lines = seg.lines_from_json(doc["lines"])
+        assert parsed.assignment == {
+            x: tuple(seg.multisegment_from_json(m, lines) for m in per)
+            for x, per in doc["assignment"].items()
+        }
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([1, 1, True], "len must be an integer, got True"),
+            ([1, 1.0, 1], "len must be an integer, got 1.0"),
+            ([2, 0, 0], "segment length must be >= 1, got 0"),
+        ],
+        ids=["bool-after-int", "float-after-int", "repeated-zero"],
+    )
+    def test_only_equal_documents_share(self, lengths, message):
+        """1, 1.0 and True are equal in Python but not as JSON documents."""
+        doc = {
+            "fields": [{"p": 3, "f": 1}], "points": ["a", "b", "c"],
+            "closed_sets": [[], ["a", "b", "c"]], "sigma": ["a", "b", "c"],
+            "assignment": {x: [{"segments": [{"line": "unr", "start": 0, "len": n}]}]
+                           for x, n in zip("abc", lengths)},
+            "unit_seeds": {"k1": 1, "iwahori": 2},
+        }
+        with pytest.raises(DomainError) as info:
+            fam.scenario_from_json(doc)
+        bad = next(n for n in lengths if type(n) is not int or n < 1)
+        assert str(info.value) == (
+            f"malformed scenario: bad segment {{'line': 'unr', 'start': 0, 'len': {bad!r}}}: "
+            f"{message}"
+        )
+
+    def test_seed_dependent_verdict_still_caught(self, capsys, monkeypatch):
+        """A ratio valuation that follows the k1 seed shifts every point alike,
+        so the locus holds and only the verdicts of a rerun differ: a rerun
+        must not reuse the first run's verdicts."""
+        sc, x0, _ = _twist_constant_scenario(random.Random(1))
+        doc = _twinned(scenario_to_json(sc))
+        real = fam.ratio_valuation
+
+        def seed_dependent(sc, x, j, log=None):
+            return real(sc, x, j, log) + (sc.unit_seeds["k1"] != doc["unit_seeds"]["k1"])
+
+        monkeypatch.setattr(fam, "ratio_valuation", seed_dependent)
+        assert main(["family", json.dumps(doc), x0]) == 0
+        capsys.readouterr()
+        assert main(["family", json.dumps(doc), x0, "--seeds", "2"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"certificate": {"reason": "seed-dependent verdict", "seed_index": 1}}
+
+
 def _seg_doc(*segments, lines=()):
     return json.dumps(
         {
@@ -1364,6 +1506,20 @@ class TestDumps:
     def test_same_bytes_as_json_dumps(self, doc):
         assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_DOCS, st.integers(1, 5))
+    def test_streamed_batches_are_the_same_bytes(self, doc, batch):
+        """With flush, the batches and the returned rest make the same text,
+        also when a batch ends inside a rendered array or a nested one."""
+        chunks = []
+        rendered = {"r": cli._multisegments([seg.Multisegment([])] * 3, []), "d": doc}
+        with mock.patch.object(cli, "_BATCH", batch):
+            for value in (doc, rendered):
+                chunks.clear()
+                rest = _dumps(value, flush=chunks.extend)
+                assert "".join(chunks) + rest == _dumps(value)
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
     @pytest.mark.parametrize("doc", [1.5, {"x": [float("nan")]}, {1: "a"}, {"x": {2}}])
     def test_rejects_what_it_does_not_write(self, doc):
         with pytest.raises(TypeError):
@@ -1431,6 +1587,59 @@ class TestClosedStdout:
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 1
         assert err == b"error: stdout closed before the report was written\n"
+
+
+class TestStreamedReport:
+    """A report goes out in batches as it is rendered, so a write that fails
+    part-way ends in one line and exit 1, and a large closure is never held
+    as one string."""
+
+    STACKED = _seg_doc(*[("unr", "c0", i, 1) for i in range(8) for _ in range(2)])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_closure_peak_memory(self, tmp_path):
+        """seg --closure on 2 x 8 stacked singletons writes a 15.4 MB report,
+        which is never held whole: the command peaks under +45 MB over the
+        import.  The child reads its own high-water mark, VmHWM: Linux starts
+        a child's ru_maxrss at the peak of the process that spawned it, here
+        pytest's."""
+        path = tmp_path / "closure.json"
+        code = (
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "from bzcalc.cli import main\n"
+            "base = hwm()\n"
+            f"status = main(['seg', {self.STACKED!r}, '--closure', '--output', {str(path)!r}])\n"
+            "print(status, (hwm() - base) / 1024)\n"  # kB to MB
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        status, grown_mb = proc.stdout.split()
+        assert status == b"0"
+        assert float(grown_mb) < 45
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "0574122b9edd5023e98a921faf051a0fbe667f08ce81378adfbcd7b70a5da116"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seg", _seg_doc(*[("unr", "c0", i, 1) for i in range(10)]), "--closure",
+             "--output", "/dev/full"],
+            ["family", readme_scenario(), "a", "--report", "/dev/full"],
+        ],
+        ids=["seg-closure", "family"],
+    )
+    def test_full_device_gets_one_line(self, capsys, argv):
+        """Every write to /dev/full fails with ENOSPC: for the closure, with
+        the first batch, long before the report ends."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        )
 
 
 # The public names of the package, by the submodule that defines them.

@@ -317,12 +317,26 @@ class TestPrimePower:
             "multiplicities must be positive, got 0",
         ),
         (lambda: iwahori_trace(ms((0, 1)), 0, 5), "n must be >= 1, got 0"),
+        (lambda: PrimePower(2, 1.5), "f must be an integer, got 1.5"),
+        (lambda: PrimePower(2, True), "f must be an integer, got True"),
+        (lambda: PrimePower(2, "1"), "f must be an integer, got '1'"),
+        (lambda: PrimePower(2.0, 1), "p must be an integer, got 2.0"),
+        (lambda: PrimePower(True, 1), "p must be an integer, got True"),
+        (lambda: PrimePower("2", 1), "p must be an integer, got '2'"),
+        # a generator is quoted by the parts read from it, not by its repr
+        (lambda: Composition(g for g in [0]), "composition parts must be >= 1, got (0,)"),
+        (
+            lambda: Composition(g for g in [2, 1.5]),
+            "composition parts must be integers, got (2, 1.5)",
+        ),
     ],
     ids=[
         "prime-power-f-zero", "composition-part-zero", "composition-part-float",
         "composition-part-bool", "composition-part-str", "compositions-of-zero",
         "steinberg-n-zero", "statistic-delta-length-zero", "triangle-multiplicity-zero",
-        "iwahori-n-zero",
+        "iwahori-n-zero", "prime-power-f-float", "prime-power-f-bool", "prime-power-f-str",
+        "prime-power-p-float", "prime-power-p-bool", "prime-power-p-str",
+        "composition-generator-zero", "composition-generator-float",
     ],
 )
 def test_domain_error(call, message):

@@ -362,6 +362,31 @@ class TestValidation:
         with pytest.raises(DomainError):
             CuspidalLine("A", block_size=0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Segment(UNR, "c0", 0, 0), "segment length must be >= 1, got 0"),
+            (lambda: Segment(UNR, "c0", 0, 2.5), "segment length must be an integer, got 2.5"),
+            (lambda: Segment(UNR, "c0", 0, True), "segment length must be an integer, got True"),
+            (lambda: Segment(UNR, "c0", 0, "1"), "segment length must be an integer, got '1'"),
+            (lambda: Segment(UNR, "c0", 0.5, 2), "segment start must be an integer, got 0.5"),
+            (lambda: Segment(UNR, "c0", False, 1), "segment start must be an integer, got False"),
+            (lambda: Segment(UNR, "c0", "0", 1), "segment start must be an integer, got '0'"),
+            (lambda: CuspidalLine("A", 0), "block_size must be >= 1, got 0"),
+            (lambda: CuspidalLine("A", 2.5), "block_size must be an integer, got 2.5"),
+            (lambda: CuspidalLine("A", True), "block_size must be an integer, got True"),
+            (lambda: CuspidalLine("A", "2"), "block_size must be an integer, got '2'"),
+        ],
+        ids=["len-zero", "len-float", "len-bool", "len-str", "start-float", "start-bool",
+             "start-str", "block-zero", "block-float", "block-bool", "block-str"],
+    )
+    def test_integers_only(self, call, message):
+        """A library caller gets the checks a JSON document gets: no float,
+        bool or str size is taken."""
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestJson:
     def test_round_trip(self):

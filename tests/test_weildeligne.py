@@ -254,8 +254,15 @@ class TestShadowValidation:
                 lambda: WDShadow([("unr", "1"), ("ram", 1)], JordanPartition((1, 1))),
                 "inertia dimensions must be integers, got (('unr', '1'), ('ram', 1))",
             ),
+            # a generator is quoted by the sizes read from it, not by its repr
+            (lambda: JordanPartition(b for b in [2, 0]), "block sizes must be >= 1, got (2, 0)"),
+            (
+                lambda: JordanPartition(b for b in [1.5]),
+                "block sizes must be integers, got (1.5,)",
+            ),
         ],
-        ids=["block-float", "block-bool", "block-str", "dim-float", "dim-bool", "dim-str"],
+        ids=["block-float", "block-bool", "block-str", "dim-float", "dim-bool", "dim-str",
+             "block-generator-zero", "block-generator-float"],
     )
     def test_non_integer_size_rejected(self, call, message):
         """A size that is not an int is rejected, never truncated by int()."""
