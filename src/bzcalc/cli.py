@@ -330,11 +330,7 @@ def cmd_identity_check(args) -> int:
 def cmd_wd(args) -> int:
     from . import weildeligne as wd
 
-    s = seg.multisegment_from_json(_load_json(args.input))
-    n = s.total_size  # checked before wd_from_multisegment lists every block
-    if n > wd.DEFAULT_EXP_BOUND:
-        raise DomainError(f"partition size {n} exceeds bound {wd.DEFAULT_EXP_BOUND}")
-    shadow = wd.wd_from_multisegment(s)
+    shadow = wd.wd_from_multisegment(seg.multisegment_from_json(_load_json(args.input)))
     mat = wd.exp_nilpotent(shadow.partition)
     count = wd.nonzero_count(mat)
     closed = wd.partition_statistic(shadow.partition)
@@ -483,19 +479,24 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        # by name, so that a rebound cmd_* attribute of this module is called
-        return globals()[args.handler](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ModelViolation as exc:
-        print(f"model violation: {exc}", file=sys.stderr)
-        print(_dumps({"certificate": exc.certificate}))
-        return EXIT_VIOLATION
-    except BrokenPipeError:
-        # the reader left; the interpreter's last flush goes to devnull
+        try:
+            # by name, so that a rebound cmd_* attribute of this module is called
+            status = globals()[args.handler](args)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except ModelViolation as exc:
+            print(f"model violation: {exc}", file=sys.stderr)
+            print(_dumps({"certificate": exc.certificate}))
+            status = EXIT_VIOLATION
+        sys.stdout.flush()  # so that a failed write raises here
+        return status
+    except OSError as exc:
+        # a closed pipe or a full device; the interpreter's last flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        print("error: stdout closed before the report was written", file=sys.stderr)
+        reason = ("stdout closed before the report was written" if isinstance(exc, BrokenPipeError)
+                  else f"cannot write to stdout: {exc}")
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

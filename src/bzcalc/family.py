@@ -504,50 +504,26 @@ def _orbit_tuple(s: Multisegment) -> tuple[tuple[str, int, int], ...]:
     )
 
 
-def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
-    """Compare the traces computed at x from the assignments against the
-    values used to build the locus (the declared value where there is one);
-    any mismatch, or a comparable point with equal valuation but a
-    different twist orbit, is a violation.
-
-    The fields and certificates are derived once in sc._derived, keyed by
-    all they depend on: both point tuples, the declared values at x and both
-    unit seeds.  Each call appends the same trace_log entries."""
-    nf = len(sc.fields)
-    key = ("certify", sc.assignment[x0], sc.assignment[x], *(
-        (sc.declared_type_traces.get(i, {}).get(x), sc.declared_ratio_valuations.get(i, {}).get(x))
-        for i in range(nf)), sc.unit_seeds.get("k1"), sc.unit_seeds.get("iwahori"))
-    body = sc._derived.get(key)
-    if body is not None:
-        for i in range(nf):
-            ratio_valuation(sc, x, i, log)
-            ratio_valuation(sc, x0, i, log)
-        return {"point": x, **body}
+def _verdict(s0s: tuple, ss: tuple, slots: tuple) -> dict:
+    """The verdict body {status, fields[, certificates]} of a point holding
+    ss against a base point holding s0s.  Per slot, slots holds the twist
+    witness, the ratio valuations at the point and at the base point, the
+    declared (type trace, ratio valuation) at the point (None where none is)
+    and, where one is, the statistics of the shadows of s and s0.  A
+    declared value that disagrees with the computed one, or a comparable
+    slot with equal valuation but a different twist orbit, is a violation."""
     problems = []
     details = []
-    for i in range(nf):
-        s0 = sc.assignment[x0][i]
-        s = sc.assignment[x][i]
-        witness = sc._derive(twist_comparison_witness, s0, s)
+    for i, (s0, s, (witness, rv, rv0, declared, stats)) in enumerate(zip(s0s, ss, slots)):
         computed_t = 1 if witness is not None else 0
-        computed_rv = ratio_valuation(sc, x, i, log)
-        rv_x0 = ratio_valuation(sc, x0, i, log)
-        used_t = sc.declared_type_traces.get(i, {}).get(x, computed_t)
-        used_rv = sc.declared_ratio_valuations.get(i, {}).get(x, computed_rv)
-        entry = {
-            "field": i,
-            "type_trace": computed_t,
-            "ratio_valuation": computed_rv,
-            "base_ratio_valuation": rv_x0,
-        }
+        entry = {"field": i, "type_trace": computed_t, "ratio_valuation": rv,
+                 "base_ratio_valuation": rv0}
         if witness is not None:
             entry["twist_witness"] = multisegment_to_json(witness)
         details.append(entry)
-        for name, used, computed in (
-            ("type trace", used_t, computed_t),
-            ("ratio valuation", used_rv, computed_rv),
-        ):
-            if used != computed:
+        for name, used, computed in zip(("type trace", "ratio valuation"), declared,
+                                        (computed_t, rv)):
+            if used is not None and used != computed:
                 problems.append(
                     {
                         "reason": f"declared {name} disagrees with the one "
@@ -556,8 +532,8 @@ def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
                         "declared": used,
                         "computed": computed,
                         # the shadow's statistic: block_size * l(l-1)/2 per segment
-                        "weighted_statistic": statistic(sc._derive(base_change_shadow, s)),
-                        "base_weighted_statistic": statistic(sc._derive(base_change_shadow, s0)),
+                        "weighted_statistic": stats[0],
+                        "base_weighted_statistic": stats[1],
                     }
                 )
                 break
@@ -574,13 +550,26 @@ def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
                         "base_orbit": [list(t) for t in _orbit_tuple(s0)],
                     }
                 )
-    sc._derived[key] = body = {
-        "status": "violation" if problems else "certified",
-        "fields": details,
-    }
+    body = {"status": "violation" if problems else "certified", "fields": details}
     if problems:
         body["certificates"] = problems
-    return {"point": x, **body}
+    return body
+
+
+def _certify_point(sc: FamilyScenario, x0: str, x: str, log: list) -> dict:
+    """The verdict at x: what _verdict reads is gathered per slot (the ratio
+    valuations at x and x0 append their trace_log entries, in that order),
+    and the body is derived once per value of all of it in sc._derived."""
+    slots = []
+    for i, (s0, s) in enumerate(zip(sc.assignment[x0], sc.assignment[x])):
+        witness = sc._derive(twist_comparison_witness, s0, s)
+        rv, rv0 = ratio_valuation(sc, x, i, log), ratio_valuation(sc, x0, i, log)
+        declared = (sc.declared_type_traces.get(i, {}).get(x),
+                    sc.declared_ratio_valuations.get(i, {}).get(x))
+        stats = None if declared == (None, None) else tuple(
+            statistic(sc._derive(base_change_shadow, t)) for t in (s, s0))
+        slots.append((witness, rv, rv0, declared, stats))
+    return {"point": x, **sc._derive(_verdict, sc.assignment[x0], sc.assignment[x], tuple(slots))}
 
 
 def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
@@ -591,9 +580,9 @@ def run_pipeline(sc: FamilyScenario, x0: str) -> RigidityReport:
     Every surviving dense point is then certified or flagged.
 
     A family repeats a few multisegments over many points, so twist
-    witnesses, shadows, Iwahori factors and ratio valuations are kept by
-    value in sc._derived, for this run, later runs and every with_seeds
-    copy.
+    witnesses, shadows, Iwahori factors, ratio valuations and verdict bodies
+    are kept by value in sc._derived, for this run, later runs and every
+    with_seeds copy.
     """
     problems = scenario_violations(sc)
     if problems:

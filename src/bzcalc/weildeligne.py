@@ -65,6 +65,9 @@ class WDShadow:
 def wd_from_multisegment(s: Multisegment) -> WDShadow:
     """Each segment of length l on a block-m line contributes m Jordan blocks
     of size l and one inertia summand of dimension m*l."""
+    n = s.total_size  # checked before every block is listed
+    if n > DEFAULT_EXP_BOUND:
+        raise DomainError(f"partition size {n} exceeds bound {DEFAULT_EXP_BOUND}")
     blocks: list[int] = []
     inertia: list[tuple[str, int]] = []
     for seg in s:

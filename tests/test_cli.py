@@ -1589,6 +1589,41 @@ class TestClosedStdout:
         assert err == b"error: stdout closed before the report was written\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestStdoutOnFullDevice:
+    """Every write to /dev/full fails with ENOSPC: a failed write to stdout
+    that is not a closed pipe ends in one line and exit 1 as well, also
+    where main prints a model violation's certificate."""
+
+    # b declares a type trace that a, its twist, does not have; the only
+    # closed sets are [] and the whole space, so no trace can split them
+    VIOLATION = json.dumps({
+        "fields": [{"p": 3, "f": 1}], "points": ["a", "b"], "closed_sets": [[], ["a", "b"]],
+        "sigma": ["a", "b"],
+        "assignment": {"a": [{"segments": [{"line": "unr", "start": 0, "len": 2}]}],
+                       "b": [{"segments": [{"line": "unr", "start": 3, "len": 2}]}]},
+        "unit_seeds": {"k1": 1, "iwahori": 2}, "declared": {"type_traces": {"0": {"b": 0}}},
+    })
+
+    @pytest.mark.parametrize(
+        "argv, before",
+        [
+            (["seg", _seg_doc(("unr", "c0", 0, 3)), "--closure"], b""),
+            (["selftest"], b""),
+            (["family", VIOLATION, "a"],
+             b"model violation: trace 'type trace, field 0' admits no closed-fiber extension\n"),
+        ],
+        ids=["seg-closure", "selftest", "family-violation"],
+    )
+    def test_one_line(self, argv, before):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "bzcalc.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == before + (
+            b"error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+
 class TestStreamedReport:
     """A report goes out in batches as it is rendered, so a write that fails
     part-way ends in one line and exit 1, and a large closure is never held

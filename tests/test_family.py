@@ -931,6 +931,78 @@ class TestPipelineMemo:
         assert info.value.certificate == {"point": "a"}
 
 
+class TestVerdictBodies:
+    """_certify_point derives each verdict body through sc._derive(_verdict,
+    ...), keyed by what the body reads: both point tuples, and per slot the
+    witness, both ratio valuations, the declared values and the shadow
+    statistics.  No unit seed is part of the key."""
+
+    @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "tampered"])
+    def test_seed_pairs_share_every_body(self, monkeypatch, adversarial):
+        """The valuations agree under every seed pair, so `family --seeds 3`
+        builds and renders no body that one run does not."""
+        sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=adversarial)
+        doc = json.dumps(scenario_to_json(sc))
+        bodies, witnesses = [], []
+        real_verdict, real_to_json = family._verdict, family.multisegment_to_json
+
+        def counting_verdict(*args):
+            bodies.append(args)
+            return real_verdict(*args)
+
+        def counting_to_json(s):
+            witnesses.append(s)
+            return real_to_json(s)
+
+        monkeypatch.setattr(family, "_verdict", counting_verdict)
+        monkeypatch.setattr(family, "multisegment_to_json", counting_to_json)
+        status = 2 if adversarial else 0
+        assert main(["family", doc, x0]) == status
+        one_run = (len(bodies), len(witnesses))
+        bodies.clear()
+        witnesses.clear()
+        assert main(["family", doc, x0, "--seeds", "3"]) == status
+        assert (len(bodies), len(witnesses)) == one_run
+        assert len(set(bodies)) == len(bodies) and len(witnesses) > 0
+
+    def test_equal_tuples_different_declared_values(self):
+        """b and c hold one tuple, but b declares a type trace that disagrees
+        with the computed one: whichever is certified first, b gets the
+        declared-value certificate and c the twist-orbit one."""
+        split = ms((0, 1), (1, 1))
+        sc = FamilyScenario(
+            fields=(PrimePower(3, 1),),
+            site=FiniteSite.of(["a", "b", "c"], [[], ["a", "b", "c"]]),
+            sigma=frozenset({"a", "b", "c"}),
+            assignment={"a": (ms((0, 2)),), "b": (split,), "c": (split,)},
+            unit_seeds={"k1": 17, "iwahori": 5},
+            declared_type_traces={0: {"b": 0}},
+        )
+        alone = {x: family._certify_point(replace(sc, _derived={}), "a", x, []) for x in "bc"}
+        assert [c["reason"] for x in "bc" for c in alone[x]["certificates"]] == [
+            "declared type trace disagrees with the one computed from the assignment",
+            "comparable point with equal valuation but a different twist orbit; "
+            "contradicts strict statistic monotonicity",
+        ]
+        for order in ("bc", "cb"):
+            fresh = replace(sc, _derived={})
+            assert {x: family._certify_point(fresh, "a", x, []) for x in order} == alone
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tampered_certificate_statistics(self, seed):
+        sc, x0, _ = _twist_constant_scenario(random.Random(seed), adversarial=True)
+        report = run_pipeline(sc, x0)
+        certificates = [
+            (v["point"], c) for v in report.verdicts
+            for c in v.get("certificates", ()) if "weighted_statistic" in c
+        ]
+        assert certificates
+        for x, c in certificates:
+            s, s0 = sc.assignment[x][c["field"]], sc.assignment[x0][c["field"]]
+            assert c["weighted_statistic"] == statistic(base_change_shadow(s)) == monodromy_weight(s)
+            assert c["base_weighted_statistic"] == statistic(base_change_shadow(s0))
+
+
 class TestScenarioJson:
     def test_round_trip(self):
         sc = three_point_scenario()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,21 @@ class TestWdFromMultisegment:
             for i in range(3)
         )
         assert _jordan_blocks_from_ranks(kron) == JordanPartition((3, 3))
+
+    def test_size_at_the_bound(self):
+        s = Multisegment([Segment(CuspidalLine("A", 32, "ram"), "c0", 0, 2)])
+        assert wd_from_multisegment(s).partition == JordanPartition((2,) * 32)
+
+    @pytest.mark.parametrize("block_size", [65, 10**9], ids=["65", "1e9"])
+    def test_size_checked_before_blocks_are_listed(self, block_size):
+        """A library call checks the total size itself: a line of block size
+        10^9 is rejected at once, not after listing 10^9 Jordan blocks."""
+        s = Multisegment([Segment(CuspidalLine("A", block_size, "ram"), "c0", 0, 1)])
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError) as info:
+            wd_from_multisegment(s)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(info.value) == f"partition size {block_size} exceeds bound 64"
 
 
 class TestExpNilpotent:
