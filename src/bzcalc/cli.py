@@ -283,14 +283,14 @@ def cmd_dims(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc
     q = dims.PrimePower(p, f)
-    dim = dims.standard_module_k1_dim(s, q)
-    comp = dims.Composition(g.length for g in s)
+    flag, stat = dims._k1_dim_factors(s, q)
     _emit(
         {
             "q": {"p": q.p, "f": q.f},
-            "flag_count": dims._decimal(dims.gaussian_flag_count(comp, q)),
-            "k1_dim": dims._decimal(dim),
-            "valuation_statistic": dims.valuation_statistic(dim, q),
+            "flag_count": dims._decimal(flag),
+            "k1_dim": dims._decimal(flag * q.q**stat),
+            # v_p(q^stat) = f * stat, and the flag count is 1 mod q
+            "valuation_statistic": dims.valuation_statistic(flag, q) + stat,
         },
         args.output,
     )

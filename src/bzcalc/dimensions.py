@@ -16,13 +16,37 @@ from .segments import Multisegment, _json_int, leq, statistic
 
 DEFAULT_MAX_N = 12  # the largest n for parabolic_alternating_sum
 
+# Past this many bits, str(x) costs more than joining its binary halves in
+# decimal arithmetic: before 3.12 it is quadratic in the length (3.12's str
+# joins halves itself, so the branch can go with 3.11).
+_DECIMAL_SPLIT_BITS = 1 << 16
+
 
 def _decimal(x: int) -> str:
-    """str(x), with Python's int-to-str digit limit lifted for this call only.
+    """str(x), whatever Python's int-to-str digit limit.
 
     Exact results can run past the default limit of 4300 digits.  Interpreters
-    older than 3.10.7 have no limit and no setter.
+    older than 3.10.7 have no limit and no setter.  Above _DECIMAL_SPLIT_BITS,
+    x is split by bits down to 4096-bit pieces, which decimal rejoins exactly
+    (Inexact is trapped) in time subquadratic in the length of x.
     """
+    if x.bit_length() > _DECIMAL_SPLIT_BITS:
+        import decimal
+
+        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact])
+        powers: dict[int, decimal.Decimal] = {}
+
+        def join(n: int, width: int) -> decimal.Decimal:  # 0 <= n < 2**width
+            if width <= 4096:
+                return decimal.Decimal(n)
+            half = width // 2
+            if half not in powers:
+                powers[half] = ctx.power(2, half)
+            high = ctx.multiply(join(n >> half, width - half), powers[half])
+            return ctx.add(high, join(n & (1 << half) - 1, half))
+
+        return ("-" if x < 0 else "") + str(join(abs(x), x.bit_length()))
     if not hasattr(sys, "set_int_max_str_digits"):
         return str(x)
     limit = sys.get_int_max_str_digits()
@@ -229,15 +253,21 @@ def _require_unramified(s: Multisegment) -> None:
             )
 
 
-def standard_module_k1_dim(s: Multisegment, q: PrimePower) -> int:
-    """Depth-one fixed-vector dimension of the full induced module attached
-    to an unramified multisegment: flag count times q^statistic.  The
-    q-multinomial is symmetric in its parts, so any order of the segment
-    lengths gives the flag count."""
+def _k1_dim_factors(s: Multisegment, q: PrimePower) -> tuple[int, int]:
+    """(flag count, statistic) of an unramified multisegment, the factors of
+    standard_module_k1_dim.  The q-multinomial is symmetric in its parts, so
+    any order of the segment lengths gives the flag count."""
     _require_unramified(s)
     if not len(s):
         raise DomainError("empty multisegment has no ambient GL_n")
-    return gaussian_flag_count(Composition(g.length for g in s), q) * q.q ** statistic(s)
+    return gaussian_flag_count(Composition(g.length for g in s), q), statistic(s)
+
+
+def standard_module_k1_dim(s: Multisegment, q: PrimePower) -> int:
+    """Depth-one fixed-vector dimension of the full induced module attached
+    to an unramified multisegment: flag count times q^statistic."""
+    flag, stat = _k1_dim_factors(s, q)
+    return flag * q.q**stat
 
 
 def vp(x: int, p: int) -> int:

@@ -268,15 +268,20 @@ def _payload(s: Multisegment, q: PrimePower | None = None) -> str:
     return f'{{"lines": {lines}, {q_item}"segments": {segments}}}'
 
 
-def k1_trace(s: Multisegment, q: PrimePower, seed: int) -> int:
-    """u * q^statistic(s) with u a seed-derived unit coprime to p, bounded by
-    the order of GL_n over the residue field."""
+def _k1_unit(s: Multisegment, q: PrimePower, seed: int) -> int:
+    """The unit u of k1_trace(s, q, seed)."""
     _require_unramified(s)
     bound = _gl_order(s.total_size, q.q) if len(s) else 1
     u = _derived_int(seed, "k1", _payload(s, q), bound)
     if u % q.p == 0:
         u -= 1  # adjacent to a multiple of p, hence coprime and still >= 1
-    return u * q.q ** statistic(s)
+    return u
+
+
+def k1_trace(s: Multisegment, q: PrimePower, seed: int) -> int:
+    """u * q^statistic(s) with u a seed-derived unit coprime to p, bounded by
+    the order of GL_n over the residue field."""
+    return _k1_unit(s, q, seed) * q.q ** statistic(s)
 
 
 def iwahori_trace(s: Multisegment, n: int, seed: int) -> int:
@@ -431,9 +436,13 @@ def ratio_valuation(
                 iw_product *= sc._derive(
                     iwahori_trace, shadow_i, s.total_size, sc._unit_seed("iwahori")
                 )
-        t_prime = k1_trace(shadow, qprime, k1_seed) * iw_product
-        t_second = k1_trace(shadow, qsecond, k1_seed) * iw_product
-        v = vp(t_second, qj.p) - vp(t_prime, qj.p)
+        u_prime = _k1_unit(shadow, qprime, k1_seed)
+        u_second = _k1_unit(shadow, qsecond, k1_seed)
+        stat = statistic(shadow)
+        t_prime = u_prime * qprime.q**stat * iw_product
+        t_second = u_second * qsecond.q**stat * iw_product
+        # read off the factors: iw_product cancels, v_p(q^stat) is f * stat
+        v = vp(u_second, qj.p) - vp(u_prime, qj.p) + (qsecond.f - qprime.f) * stat
         if v % f_prime:
             raise ModelViolation(
                 "ratio valuation is not an integer multiple of v_p(q')",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bzcalc
-from bzcalc import cli, family as fam, segments as seg
+from bzcalc import cli, dimensions as dims, family as fam, segments as seg
 from bzcalc.cli import _dumps, main
 from bzcalc.exceptions import DomainError
 from bzcalc.family import scenario_to_json
@@ -151,6 +151,38 @@ class TestDims:
         status = main(["dims", doc_in])
         assert status == 1
         assert capsys.readouterr().err == "error: empty multisegment has no ambient GL_n\n"
+
+    def test_one_flag_count_per_run(self, capsys, monkeypatch):
+        calls = []
+        real = dims.gaussian_flag_count
+
+        def counting(c, q):
+            calls.append(c)
+            return real(c, q)
+
+        monkeypatch.setattr(dims, "gaussian_flag_count", counting)
+        doc_in = _dims_doc({"p": 3, "f": 2}, ("unr", "c0", 0, 2), ("unr", "c1", 1, 3))
+        assert main(["dims", doc_in]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 1009, 10007])
+    def test_report_equals_the_whole_product(self, capsys, p):
+        """dims reads the valuation off the flag count and the statistic; the
+        library's valuation_statistic of standard_module_k1_dim, the whole
+        product, is its oracle."""
+        rng = random.Random(p)
+        for _ in range(12):
+            q = dims.PrimePower(p, rng.randrange(1, 4))
+            segments = [
+                ("unr", f"c{rng.randrange(3)}", rng.randrange(-3, 5), rng.randrange(1, 7))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            s = seg.multisegment_from_json(json.loads(_seg_doc(*segments)))
+            dim = dims.standard_module_k1_dim(s, q)
+            assert main(["dims", _dims_doc({"p": q.p, "f": q.f}, *segments)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["k1_dim"] == dims._decimal(dim)
+            assert doc["valuation_statistic"] == dims.valuation_statistic(dim, q)
 
 
 def _int_str_limit():
@@ -964,9 +996,10 @@ def _body_count(elements):
 
 class TestReportsByDistinctValue:
     """family parses each distinct multisegment document once, certifies each
-    (base tuple, point tuple, declared values, seed pair) once, and renders
-    each distinct trace_log entry and verdict body once; json.dumps of
-    RigidityReport.to_json() is the oracle of the spliced report."""
+    (base tuple, point tuple, declared values, ratio valuations at both
+    points) once, and renders each distinct trace_log entry and verdict body
+    once; json.dumps of RigidityReport.to_json() is the oracle of the spliced
+    report."""
 
     @pytest.mark.parametrize("seeds", [[], ["--seeds", "3"]], ids=["one-run", "seeds-3"])
     @pytest.mark.parametrize(
@@ -1242,6 +1275,42 @@ class TestLargeValuations:
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "01607ad4c669deb82ec216f5e33f8969c5dc34ac7152f9785ecd23762ab89c83"
+        )
+
+    def test_dims_p2_f10000(self, capsys):
+        # a 1.9-million-bit k1_dim; sha256 taken while dims ran vp on the
+        # whole product and str printed it (18.6-19.6 s on a 2-vCPU VM)
+        doc = {
+            "multisegment": json.loads(_seg_doc(("unr", "c0", 0, 10), ("unr", "c0", 3, 10))),
+            "q": {"p": 2, "f": 10000},
+        }
+        t0 = time.perf_counter()
+        status = main(["dims", json.dumps(doc)])
+        assert time.perf_counter() - t0 < 5.0
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1594b8c6796f4269a43fbcc0571b2aece3bcb3f67215e83af667b200abf81e63"
+        )
+
+    def test_family_length_1500_p3(self, capsys):
+        # statistic 1,124,250, so t'' = u'' * 9^1124250 has 3.6 million bits;
+        # sha256 taken while ratio_valuation ran vp on t' and t'' (49.3-54.5 s)
+        doc = {
+            "fields": [{"p": 3, "f": 1}],
+            "points": ["a"],
+            "closed_sets": [[], ["a"]],
+            "sigma": ["a"],
+            "assignment": {"a": [{"segments": [{"line": "unr", "start": 0, "len": 1500}]}]},
+            "unit_seeds": {"k1": 17, "iwahori": 5},
+        }
+        t0 = time.perf_counter()
+        status = main(["family", json.dumps(doc), "a"])
+        assert time.perf_counter() - t0 < 3.0
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4c9f0513fb397c3fe7e36c137923302728cf735914bc942fec31a0e91ea63fe"
         )
 
 

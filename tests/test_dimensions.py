@@ -1,11 +1,14 @@
+import contextlib
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
 
 from bzcalc.dimensions import (
+    _DECIMAL_SPLIT_BITS,
     PRIME_TEST_LIMIT,
     Composition,
     PrimePower,
@@ -18,6 +21,7 @@ from bzcalc.dimensions import (
     triangle_check,
     valuation_statistic,
     vp,
+    _decimal,
     _exact_root,
     _is_prime,
 )
@@ -228,6 +232,58 @@ class TestVpOracle:
     def test_non_prime_rejected(self):
         with pytest.raises(DomainError):
             vp(12, 4)
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """Python's int-to-str digit limit set to limit (0: none) in the block;
+    interpreters older than 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture(scope="class")
+def decimal_cases():
+    """(x, str(x)) for 0, +-1, +-(2^k +- 1) on both sides of the split
+    threshold and of the 4096-bit pieces, and a random int of each bit length
+    order up to 2 Mbit, either sign; str, with no digit limit, is the oracle."""
+    rng = random.Random(20)
+    xs = [0, 1, -1]
+    for k in (4095, 4096, 4097, _DECIMAL_SPLIT_BITS - 1, _DECIMAL_SPLIT_BITS,
+              _DECIMAL_SPLIT_BITS + 1):
+        xs += [sign * (2**k + d) for sign in (1, -1) for d in (1, -1)]
+    for e in range(1, 22):
+        bits = rng.randrange(2 ** (e - 1), 2**e) + 1
+        xs.append(rng.choice([1, -1]) * (rng.getrandbits(bits) | 1 << bits - 1))
+    with _digit_limit(0):
+        return [(x, str(x)) for x in xs]
+
+
+class TestDecimal:
+    """_decimal prints past the digit limit, through str up to the split
+    threshold and through decimal above it."""
+
+    def test_equals_str(self, decimal_cases):
+        assert max(abs(x).bit_length() for x, _ in decimal_cases) > 1 << 20
+        assert sum(abs(x).bit_length() > _DECIMAL_SPLIT_BITS for x, _ in decimal_cases) >= 10
+        for x, text in decimal_cases:
+            assert _decimal(x) == text
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_equals_str_under_the_lowest_digit_limit(self, decimal_cases):
+        with _digit_limit(640):
+            for x, text in decimal_cases:
+                assert _decimal(x) == text
+                assert sys.get_int_max_str_digits() == 640
 
 
 class TestTriangleCheck:

@@ -10,7 +10,7 @@ import pytest
 
 from bzcalc import family
 from bzcalc.cli import main
-from bzcalc.dimensions import PrimePower, vp
+from bzcalc.dimensions import PrimePower, _decimal, vp
 from bzcalc.exceptions import DomainError, ModelViolation
 from bzcalc.family import (
     FamilyScenario,
@@ -499,6 +499,30 @@ class TestRatioValuation:
         with pytest.raises(DomainError, match=f"^missing unit seed '{missing}'$"):
             ratio_valuation(sc, "a", 0)
 
+    def test_non_integral_valuation_is_a_violation(self, monkeypatch):
+        # q = 3^2, so f' = 2; a factor p in the unit over q'' = 3^4 leaves
+        # v_p(t''/t') = 1 + (4 - 2) * statistic(s) = 1 + 2 * 1 = 3, not a
+        # multiple of f'
+        sc = self._single_point([ms((0, 2))], [PrimePower(3, 2)])
+        real_unit = family._k1_unit
+
+        def unit(s, q, seed):
+            u = real_unit(s, q, seed)
+            return u * q.p if q.f == 4 else u
+
+        monkeypatch.setattr(family, "_k1_unit", unit)
+        log = []
+        with pytest.raises(ModelViolation, match="not an integer multiple") as exc:
+            ratio_valuation(sc, "a", 0, log)
+        assert exc.value.certificate == {
+            "reason": "non-integral ratio valuation",
+            "point": "a",
+            "field": 0,
+            "v_p": 3,
+            "f": 2,
+        }
+        assert log == []
+
     def test_bad_point_or_slot_raises_before_reading(self):
         # an assignment that cannot be read: any access to it raises TypeError
         sc = FamilyScenario(
@@ -569,6 +593,28 @@ class TestRatioValuationClosedForm:
             sc = _generated_scenario(rng, rng.choice([1, 2, 3]))
             self._check(sc)
             self._check(sc.with_seeds(rng.randrange(10**6), rng.randrange(10**6)))
+
+    def test_logged_traces_are_k1_trace_times_iwahori_product(self):
+        """ratio_valuation builds t' and t'' from their factors; the public
+        k1_trace of the slot's shadow, times the other slots' Iwahori
+        factors, is the oracle of what it logs."""
+        rng = random.Random(8)
+        for _ in range(10):
+            sc = _generated_scenario(rng, rng.choice([1, 2, 3]))
+            seeds = sc.unit_seeds
+            for x, j in _pairs(sc):
+                log = []
+                ratio_valuation(sc, x, j, log)
+                (entry,) = log
+                shadow = base_change_shadow(sc.assignment[x][j])
+                iw_product = math.prod(
+                    iwahori_trace(base_change_shadow(s), s.total_size, seeds["iwahori"])
+                    for i, s in enumerate(sc.assignment[x]) if i != j
+                )
+                p, f_prime = entry["q_prime"]["p"], entry["q_prime"]["f"]
+                for name, q in (("t_prime", PrimePower(p, f_prime)),
+                                ("t_second", PrimePower(p, 2 * f_prime))):
+                    assert entry[name] == _decimal(k1_trace(shadow, q, seeds["k1"]) * iw_product)
 
     def test_shadow_and_iwahori_factor_once_per_point_and_slot(self, monkeypatch):
         """At most once per (point, slot): once per distinct multisegment, so
@@ -760,14 +806,14 @@ class TestPipelineMemo:
 
     @pytest.mark.parametrize("adversarial", [False, True], ids=["honest", "tampered"])
     def test_each_point_and_slot_evaluated_once(self, monkeypatch, adversarial):
-        """Once per (s0, s), and once per (assignment[x], slot): k1_trace runs
+        """Once per (s0, s), and once per (assignment[x], slot): _k1_unit runs
         twice (over q' and q'') per ratio valuation computed, for fewer keys
         than the (point, slot) lookups."""
         sc, x0, _ = _twist_constant_scenario(random.Random(0), adversarial=adversarial)
         k1_calls: Counter = Counter()
         witness_calls: Counter = Counter()
         looking_up = []  # the (assignment[x], slot) of the valuation running
-        real_valuation, real_k1 = family.ratio_valuation, family.k1_trace
+        real_valuation, real_k1 = family.ratio_valuation, family._k1_unit
         real_witness = family.twist_comparison_witness
 
         def tracking_valuation(sc, x, j, log=None):
@@ -786,7 +832,7 @@ class TestPipelineMemo:
             return real_witness(s0, s)
 
         monkeypatch.setattr(family, "ratio_valuation", tracking_valuation)
-        monkeypatch.setattr(family, "k1_trace", counting_k1)
+        monkeypatch.setattr(family, "_k1_unit", counting_k1)
         monkeypatch.setattr(family, "twist_comparison_witness", counting_witness)
         report = family.run_pipeline(sc, x0)
 
@@ -819,13 +865,13 @@ class TestPipelineMemo:
         sc = three_point_scenario()
         assert run_pipeline(sc, "a").locus == ("a", "b")
         k1_calls = []
-        real_k1 = family.k1_trace
+        real_k1 = family._k1_unit
 
         def counting_k1(s, q, seed):
             k1_calls.append(s)
             return real_k1(s, q, seed)
 
-        monkeypatch.setattr(family, "k1_trace", counting_k1)
+        monkeypatch.setattr(family, "_k1_unit", counting_k1)
         report = run_pipeline(sc, "b")
         assert report.locus == ("a", "b")
         assert k1_calls == []
@@ -836,13 +882,13 @@ class TestPipelineMemo:
         sc = three_point_scenario()
         first = run_pipeline(sc, "a")
         k1_calls = []
-        real_k1 = family.k1_trace
+        real_k1 = family._k1_unit
 
         def counting_k1(s, q, seed):
             k1_calls.append(seed)
             return real_k1(s, q, seed)
 
-        monkeypatch.setattr(family, "k1_trace", counting_k1)
+        monkeypatch.setattr(family, "_k1_unit", counting_k1)
         copy = sc.with_seeds(5, 6)
         report = run_pipeline(copy, "a")
         # a, b and c at slot 0, each over q' and q''
