@@ -303,7 +303,7 @@ def cmd_identity_check(args) -> int:
         raise DomainError(f"--n-max must be at least 1, got {n_max}")
     if n_max > dims.DEFAULT_MAX_N:
         raise DomainError(f"n_max {n_max} exceeds bound {dims.DEFAULT_MAX_N}")
-    qs = [_parse_q(v) for v in args.q.split(",")] if args.q else [
+    qs = [_parse_q(v) for v in args.q.split(",")] if args.q is not None else [
         dims.PrimePower.from_q(v) for v in DEFAULT_Q_LIST
     ]
     rows = []

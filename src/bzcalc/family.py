@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -27,7 +28,6 @@ from .segments import (
     _declare,
     _json_int,
     _json_typed,
-    leq,
     line_to_json,
     lines_from_json,
     multisegment_from_json,
@@ -190,56 +190,152 @@ def _inertial_point_bag(s: Multisegment) -> Counter:
     return bag
 
 
+def _kind(g: Segment) -> tuple:
+    """What a twist keeps of a segment: (length, inertial label, block size)."""
+    return (g.length, g.line.inertial_label, g.line.block_size)
+
+
 def twist_comparison_witness(
     s0: Multisegment, s: Multisegment
 ) -> Multisegment | None:
     """A twist s0' of s0 with support(s0') = support(s) and s0' <= s, or None.
 
     Each segment of s0 may move independently to any (line, coset, start)
-    with matching inertial label and block size.
+    with matching inertial label and block size.  The witness returned is
+    the first valid placement in the search order of _first_placement.
+
+    A twist keeps the statistic and every elementary operation strictly
+    raises it, so s0' <= s forces statistic(s0) >= statistic(s), with
+    equality only for s0' == s: then the witness is s itself, when s is a
+    twist of s0.  Only statistic(s0) > statistic(s) needs a search.
     """
     if _inertial_point_bag(s0) != _inertial_point_bag(s):
         return None
+    stat0, stat = statistic(s0), statistic(s)
+    if stat0 < stat:
+        return None
+    if stat0 == stat:
+        return s if Counter(map(_kind, s0)) == Counter(map(_kind, s)) else None
+    return _first_placement(s0, s)
+
+
+def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
+    """The first placement of s0's segments on support(s) that is <= s.
+
+    Segments go longest first, each to the first start, in the order of
+    support(s), where its cells are free.  Segments of one kind are
+    interchangeable, so each starts at or after the start of the one placed
+    before it: the lexicographically first valid placement, the one a
+    search over every order returns, keeps to this rule.
+
+    The rank criterion (Zelevinsky, Ann. Sci. ENS 1980; Abeasis, Del Fra
+    and Kraft, Math. Ann. 256, 1981): a with support(a) = support(s) is
+    <= s iff r_ij(a) >= r_ij(s) on every window [i, j] of every (line,
+    coset) group, r_ij(m) counting the segments of m that contain [i, j].
+    An unplaced segment adds at most one to a window, and only when it is
+    of the group's inertial label and block size and at least as long, so
+    a prefix is dropped once r_ij(placed) plus those segments falls short
+    of r_ij(s) somewhere.  That drops only dead branches, and a full
+    placement that is not dropped is <= s.  Windows from a start to a last
+    point of segments of s suffice: r_ij(s) is the same on every window
+    between them, and r_ij(placed) only falls as a window grows.
+    """
     remaining = support(s)
     starts = list(remaining)
     segs0 = sorted(s0.segments, key=lambda g: -g.length)
-    # Segments of one (length, inertial label, block size) are interchangeable,
-    # so each starts at or after the start of the one placed before it: the
-    # lexicographically first valid placement, the one a search over every
-    # order returns, keeps to this rule.
-    floors: dict[tuple, int] = {}  # kind -> starts index of its last placed segment
+    firsts: dict = {}  # (line, coset) -> the sorted starts of its segments in s
+    lasts: dict = {}  # (line, coset) -> the sorted last points
+    for g in s:
+        firsts.setdefault((g.line, g.coset), set()).add(g.start)
+        lasts.setdefault((g.line, g.coset), set()).add(g.end - 1)
+    firsts = {group: sorted(v) for group, v in firsts.items()}
+    lasts = {group: sorted(v) for group, v in lasts.items()}
 
-    def place(idx: int, placed: list[Segment]) -> Multisegment | None:
-        if idx == len(segs0):
-            candidate = Multisegment(placed)
-            return candidate if leq(candidate, s) else None
-        g = segs0[idx]
-        kind = (g.length, g.line.inertial_label, g.line.block_size)
-        floor = floors.get(kind, 0)
-        for k in range(floor, len(starts)):
-            line, coset, pos = starts[k]
-            if (
-                line.inertial_label != g.line.inertial_label
-                or line.block_size != g.line.block_size
-            ):
+    def windows(line, coset, lo: int, hi: int) -> list[tuple]:
+        """The windows (line, coset, i, j) inside [lo, hi) on (line, coset)."""
+        fs, ls = firsts[line, coset], lasts[line, coset]
+        return [(line, coset, i, j) for i in fs[bisect_left(fs, lo):bisect_left(fs, hi)]
+                for j in ls[bisect_left(ls, i):bisect_left(ls, hi)]]
+
+    need: Counter = Counter()  # window -> r_ij(s) - r_ij(placed)
+    for g in s:
+        need.update(windows(g.line, g.coset, g.start, g.end))
+    # a window's bucket: the _kind of the shortest segment that covers it
+    bucket = {w: (w[3] - w[2] + 1, w[0].inertial_label, w[0].block_size) for w in need}
+    # bucket -> unplaced segments that can cover its windows
+    avail = {b: sum(_kind(g)[1:] == b[1:] and g.length >= b[0] for g in segs0)
+             for b in set(bucket.values())}
+    hist = Counter((b, need[w]) for w, b in bucket.items())  # (bucket, need) -> windows
+    over = sum(need[w] > avail[b] for w, b in bucket.items())  # windows out of reach
+    if over:
+        return None
+    kinds = [_kind(g) for g in segs0]
+    lower = {kd: [b for b in avail if b[1:] == kd[1:] and b[0] <= kd[0]] for kd in kinds}
+
+    def move(trail: tuple, d: int) -> int:
+        """Place (d = -1) or remove (d = +1) a segment: its cells, the needs
+        of its windows and the avail of the buckets it can cover move by d.
+        Returns the change in over."""
+        cells, inside, buckets = trail
+        for c in cells:
+            remaining[c] += d
+        delta = 0
+        for b in buckets:
+            a = avail[b]
+            delta += hist[b, a] if d < 0 else -hist[b, a + 1]
+            avail[b] = a + d
+        for w, b in inside:
+            v = need[w]
+            need[w] = v + d
+            hist[b, v] -= 1
+            hist[b, v + d] += 1
+            a = avail[b]
+            delta += (v + d > a) - (v > a)
+        return delta
+
+    last_of_kind: dict[tuple, int] = {}
+    floor_of = []  # depth -> the depth of the last segment of its kind before it
+    for depth, kd in enumerate(kinds):
+        floor_of.append(last_of_kind.get(kd))
+        last_of_kind[kd] = depth
+    floor_of.append(None)  # the depth past the last, where the search ends
+    classes = [(line.inertial_label, line.block_size) for line, _, _ in starts]
+    inside_of: dict[tuple, list] = {}  # (starts index, length) -> (window, bucket)
+    # The search keeps its own stack, one frame per placed segment, since a
+    # placement is as deep as s0 is long.
+    frames: list[tuple] = []  # (starts index, trail)
+    k = 0  # the next starts index to try at depth len(frames)
+    while len(frames) < len(segs0):
+        depth = len(frames)
+        kd = kinds[depth]
+        length, cls = kd[0], kd[1:]
+        for k in range(k, len(starts)):
+            if classes[k] != cls:
                 continue
-            cells = [(line, coset, pos + t) for t in range(g.length)]
+            line, coset, pos = starts[k]
+            cells = [(line, coset, pos + t) for t in range(length)]
             if any(remaining[c] <= 0 for c in cells):
                 continue
-            for c in cells:
-                remaining[c] -= 1
-            floors[kind] = k
-            placed.append(Segment(line, coset, pos, g.length))
-            found = place(idx + 1, placed)
-            placed.pop()
-            for c in cells:
-                remaining[c] += 1
-            if found is not None:
-                return found
-        floors[kind] = floor
-        return None
-
-    return place(0, [])
+            inside = inside_of.get((k, length))
+            if inside is None:
+                inside = inside_of[k, length] = [
+                    (w, bucket[w]) for w in windows(line, coset, pos, pos + length) if w in bucket]
+            trail = (cells, inside, lower[kd])
+            over += move(trail, -1)
+            if not over:
+                break
+            over += move(trail, 1)
+        else:
+            if not frames:
+                return None
+            k, trail = frames.pop()
+            over += move(trail, 1)
+            k += 1
+            continue
+        frames.append((k, trail))
+        floor = floor_of[depth + 1]
+        k = 0 if floor is None else frames[floor][0]
+    return Multisegment(Segment(*starts[k], g.length) for (k, _), g in zip(frames, segs0))
 
 
 # --- seed-derived opaque traces ---------------------------------------------

@@ -459,6 +459,14 @@ class TestIdentityCheck:
         assert captured.out == ""
         assert captured.err == f"error: --n-max must be at least 1, got {n_max}\n"
 
+    @pytest.mark.parametrize("q", ["", "2,,3"])
+    def test_empty_q_is_not_the_default_sweep(self, capsys, q):
+        status = main(["identity-check", "--q", q])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "error: bad q value '': not an integer\n"
+
 
 class TestLargePrimes:
     """A prime q or p is factored and tested exactly in well under a second,

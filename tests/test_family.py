@@ -43,7 +43,7 @@ from bzcalc.segments import (
 )
 from bzcalc.weildeligne import monodromy_weight
 
-from conftest import ms, readme_scenario
+from conftest import ms, multisegments_with_support, readme_scenario
 from test_acceptance import _random_multisegment, _twist_constant_scenario
 
 
@@ -290,6 +290,50 @@ def _witness_by_every_order(s0, s):
     return place(0, [])
 
 
+def _witness_by_placement(s0, s):
+    """twist_comparison_witness as it was before the statistic returns and
+    the rank bound: segments of one kind take their starts in order, every
+    placement is tried, and each full one is tested with the BFS leq."""
+    if family._inertial_point_bag(s0) != family._inertial_point_bag(s):
+        return None
+    remaining = support(s)
+    starts = list(remaining)
+    segs0 = sorted(s0.segments, key=lambda g: -g.length)
+    floors = {}  # kind -> starts index of its last placed segment
+
+    def place(idx, placed):
+        if idx == len(segs0):
+            candidate = Multisegment(placed)
+            return candidate if leq(candidate, s) else None
+        g = segs0[idx]
+        kind = (g.length, g.line.inertial_label, g.line.block_size)
+        floor = floors.get(kind, 0)
+        for k in range(floor, len(starts)):
+            line, coset, pos = starts[k]
+            if (
+                line.inertial_label != g.line.inertial_label
+                or line.block_size != g.line.block_size
+            ):
+                continue
+            cells = [(line, coset, pos + t) for t in range(g.length)]
+            if any(remaining[c] <= 0 for c in cells):
+                continue
+            for c in cells:
+                remaining[c] -= 1
+            floors[kind] = k
+            placed.append(Segment(line, coset, pos, g.length))
+            found = place(idx + 1, placed)
+            placed.pop()
+            for c in cells:
+                remaining[c] += 1
+            if found is not None:
+                return found
+        floors[kind] = floor
+        return None
+
+    return place(0, [])
+
+
 # Two block-1 lines of one inertial class, so a twist may change the line.
 WITNESS_LINES = (
     CuspidalLine("unr", 1, "unr"),
@@ -336,6 +380,7 @@ class TestTwistWitnessSymmetryBreak:
             s0, s = _witness_case(rng)
             witness = twist_comparison_witness(s0, s)
             assert witness == _witness_by_every_order(s0, s)
+            assert witness == _witness_by_placement(s0, s)
             if witness is not None:
                 found += 1
                 kinds = Counter(
@@ -368,6 +413,114 @@ class TestTwistWitnessSymmetryBreak:
         assert report["X0"] == ["a"]
         types = {e["point"]: e["value"] for e in report["trace_log"] if e["stage"] == "type_trace"}
         assert types == {"a": 1, "b": 0}
+
+
+def _unr(text):
+    """A multisegment on line unr, coset c0, written start+length."""
+    return ms(*(tuple(map(int, g.split("+"))) for g in text.split()))
+
+
+def _stacked_pair(seed):
+    """(s0, s): s, then s0, step at random down from mu x m stacked
+    singletons."""
+    rng = random.Random(seed)
+    mu, m = rng.choice((2, 3)), rng.randint(5, 9)
+    out = []
+    for _ in range(2):
+        x = ms(*[(i, 1) for i in range(m) for _ in range(mu)])
+        for _ in range(rng.randint(1, 2 * m)):
+            x = rng.choice(sorted(elementary_edges(x), key=repr))
+        out.append(x)
+    return out[1], out[0]
+
+
+# seed -> (s0, s, witness) of _stacked_pair, the witness from one uncapped
+# run of _witness_by_placement: seconds each, too slow to repeat in a test
+STACKED_PAIRS = {
+    0: (  # statistic 30 > 2
+        "0+1 0+4 0+6 1+1 2+4 4+3 6+1 6+1 7+1 7+1 7+1",
+        "0+1 0+1 0+2 1+1 1+1 2+1 2+1 2+1 3+1 3+1 3+1 4+1 4+1 4+2 5+1 5+1 6+1 6+1 "
+        "6+1 7+1 7+1 7+1",
+        "0+4 0+4 0+6 4+1 4+3 5+1 6+1 6+1 7+1 7+1 7+1",
+    ),
+    259: (  # statistic 10 > 6
+        "0+1 0+1 1+2 1+2 3+1 3+2 4+3 5+1 6+3 7+2",
+        "0+1 0+4 1+1 2+1 3+1 4+1 4+1 5+1 5+1 6+1 6+1 7+1 7+1 8+1 8+1",
+        None,
+    ),
+    9: (  # equal statistics, 25
+        "0+1 0+1 0+6 1+1 1+1 2+1 2+2 3+2 4+4 5+2 6+2 7+1 8+1 8+1 8+1",
+        "0+1 0+1 0+1 1+1 1+2 1+3 2+6 3+1 4+1 4+1 5+1 5+3 6+3 8+1 8+1",
+        None,
+    ),
+}
+
+
+def _two_point_document(a, b):
+    """Points a and b, each closed, both in sigma, one field: x0 = a."""
+    return {
+        "fields": [{"p": 3, "f": 1}],
+        "points": ["a", "b"],
+        "closed_sets": [[], ["a"], ["b"], ["a", "b"]],
+        "sigma": ["a", "b"],
+        "assignment": {x: [multisegment_to_json(m)] for x, m in (("a", a), ("b", b))},
+        "unit_seeds": {"k1": 1, "iwahori": 2},
+    }
+
+
+class TestRankBoundedWitness:
+    """The statistic returns and the rank-bounded search give the witness
+    of the search they replace, which tries every placement and tests each
+    full one with the BFS leq."""
+
+    def test_every_pair_of_small_supports(self):
+        pairs = 0
+        for m in range(1, 8):
+            for mu in range(1, 7 // m + 1):
+                pool = sorted(multisegments_with_support(m, mu), key=repr)
+                for s0 in pool:
+                    for s in pool:
+                        assert twist_comparison_witness(s0, s) == _witness_by_placement(s0, s)
+                pairs += len(pool) ** 2
+        assert pairs == 5592
+
+    @pytest.mark.parametrize("seed", sorted(STACKED_PAIRS))
+    def test_stacked_pair(self, seed):
+        s0, s, witness = (None if x is None else _unr(x) for x in STACKED_PAIRS[seed])
+        assert _stacked_pair(seed) == (s0, s)
+        t0 = time.perf_counter()
+        assert twist_comparison_witness(s0, s) == witness
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("seed", sorted(STACKED_PAIRS))
+    def test_stacked_pair_through_the_cli(self, capsys, seed):
+        s0, s, witness = STACKED_PAIRS[seed]
+        doc = json.dumps(_two_point_document(_unr(s0), _unr(s)))
+        t0 = time.perf_counter()
+        status = main(["family", doc, "a"])
+        assert time.perf_counter() - t0 < 0.1
+        report = json.loads(capsys.readouterr().out)
+        assert status == 0
+        assert report["X0"] == ["a"]
+        types = {e["point"]: e["value"] for e in report["trace_log"] if e["stage"] == "type_trace"}
+        assert types == {"a": 1, "b": int(witness is not None)}
+
+    def test_a_witness_deeper_than_the_recursion_limit(self, capsys):
+        """1,200 singletons at b against [0, 2) and 1,198 singletons at a:
+        the search places 1,199 segments, one level each."""
+        n = 1200
+        a = ms((0, 2), *[(i, 1) for i in range(2, n)])
+        b = ms(*[(i, 1) for i in range(n)])
+        t0 = time.perf_counter()
+        status = main(["family", json.dumps(_two_point_document(a, b)), "a"])
+        assert time.perf_counter() - t0 < 2.0
+        out = capsys.readouterr().out.encode()
+        assert status == 0
+        assert json.loads(out)["X0"] == ["a"]
+        assert len(out) == 182_474
+        assert hashlib.sha256(out).hexdigest() == (
+            "85f4f63c0a03af41b09b79b5b7d71006713a6d14f2f65a2e85f3691f8500c11f"
+        )
 
 
 class TestOpaqueTraces:
