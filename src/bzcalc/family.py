@@ -239,6 +239,15 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
     placement that is not dropped is <= s.  Windows from a start to a last
     point of segments of s suffice: r_ij(s) is the same on every window
     between them, and r_ij(placed) only falls as a window grows.
+
+    The rank bound does not see that the support must be tiled, so from
+    the search's first dead end on, a placement is also dropped when some
+    (line, coset) group's lowest point with multiplicity left can be the
+    start of no unplaced segment: one of the group's inertial label and
+    block size, whose cells all have multiplicity left, and that starts no
+    earlier than the last placed segment of its kind.  Every lower point of
+    the group is full, so each segment that covers that point starts on
+    it; this too drops only dead branches.
     """
     remaining = support(s)
     starts = list(remaining)
@@ -271,14 +280,70 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
         return None
     kinds = [_kind(g) for g in segs0]
     lower = {kd: [b for b in avail if b[1:] == kd[1:] and b[0] <= kd[0]] for kd in kinds}
+    classes = [(line.inertial_label, line.block_size) for line, _, _ in starts]
+    # The (line, coset) groups of s are runs of starts, each in ascending
+    # position: group_of[k] is the group of starts[k], ends[g] is past the
+    # run of group g, and low[g] is at or below its lowest point with
+    # multiplicity left.  A search that never meets a dead end needs no
+    # pruning, so these are built, and kept, from the first one on.
+    group_of: list[int] = []
+    low: list[int] = []
+    ends: list[int] = []
+    placed: dict[tuple, list] = {}  # kind -> the starts indices of its placed segments
+    total: Counter = Counter()  # kind -> its segments in s0
+    of_class: dict[tuple, list] = {}  # class -> its kinds, longest first
+
+    def dead_end() -> None:
+        """Called at every dead end; the first builds the groups."""
+        if low:
+            return
+        for k, (line, coset, _) in enumerate(starts):
+            if not k or starts[k - 1][:2] != (line, coset):
+                low.append(k)
+                ends.append(k)
+            group_of.append(len(low) - 1)
+            ends[-1] = k + 1
+        total.update(kinds)
+        for kd in total:
+            of_class.setdefault(kd[1:], []).append(kd)
+            placed[kd] = []
+        for k, trail in frames:
+            placed[trail[1]].append(k)
+
+    def tiles() -> bool:
+        """Whether every group's lowest point with multiplicity left can
+        still be the start of an unplaced segment."""
+        for g, end in enumerate(ends):
+            k = low[g]
+            while k < end and remaining[starts[k]] <= 0:
+                k += 1
+            low[g] = k
+            if k == end:
+                continue
+            line, coset, pos = starts[k]
+            for kd in of_class[classes[k]]:
+                at = placed[kd]
+                if (len(at) < total[kd] and (not at or at[-1] <= k) and all(
+                        remaining[line, coset, pos + t] > 0 for t in range(kd[0]))):
+                    break
+            else:
+                return False
+        return True
 
     def move(trail: tuple, d: int) -> int:
         """Place (d = -1) or remove (d = +1) a segment: its cells, the needs
-        of its windows and the avail of the buckets it can cover move by d.
-        Returns the change in over."""
-        cells, inside, buckets = trail
+        of its windows and the avail of the buckets it can cover move by d,
+        and once the groups are built, so do its kind's placed starts and
+        its group's low.  Returns the change in over."""
+        k, kd, cells, inside, buckets = trail
         for c in cells:
             remaining[c] += d
+        if low:
+            if d < 0:
+                placed[kd].append(k)
+            else:
+                placed[kd].pop()
+                low[group_of[k]] = min(low[group_of[k]], k)
         delta = 0
         for b in buckets:
             a = avail[b]
@@ -299,7 +364,6 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
         floor_of.append(last_of_kind.get(kd))
         last_of_kind[kd] = depth
     floor_of.append(None)  # the depth past the last, where the search ends
-    classes = [(line.inertial_label, line.block_size) for line, _, _ in starts]
     inside_of: dict[tuple, list] = {}  # (starts index, length) -> (window, bucket)
     # The search keeps its own stack, one frame per placed segment, since a
     # placement is as deep as s0 is long.
@@ -320,12 +384,14 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
             if inside is None:
                 inside = inside_of[k, length] = [
                     (w, bucket[w]) for w in windows(line, coset, pos, pos + length) if w in bucket]
-            trail = (cells, inside, lower[kd])
+            trail = (k, kd, cells, inside, lower[kd])
             over += move(trail, -1)
-            if not over:
+            if not over and (not low or tiles()):
                 break
             over += move(trail, 1)
+            dead_end()
         else:
+            dead_end()
             if not frames:
                 return None
             k, trail = frames.pop()

@@ -191,7 +191,9 @@ def support(s: Multisegment) -> Counter:
     return bag
 
 
-def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]]:
+def elementary_edges(
+    s: Multisegment, max_delta: int | None = None
+) -> dict[Multisegment, tuple[int, int, int]]:
     """Children reachable by one elementary operation, with (a, b, c) data.
 
     (a, b) are the merged pair's lengths and c their overlap; the statistic
@@ -200,10 +202,16 @@ def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]
     generating pair.  Pairs (i, j), i < j, are tried in lexicographic order
     of their positions in the canonical tuple.
 
+    With max_delta, only the children whose delta is at most max_delta:
+    the result is the unbounded one filtered to those, in the same order.
+    A pair past the bound builds no Segment and no Multisegment.
+
     Only segments of one (line, coset) run can be linked, and in canonical
     order a run is sorted by (start, length).  So with a0 <= b0, the pair
     [a0, a1), [b0, b1) is linked iff a0 < b0 <= a1 < b1; its union is
-    [a0, b1), its intersection [b0, a1) when b0 < a1, and c = a1 - b0.
+    [a0, b1), its intersection [b0, a1) when b0 < a1, c = a1 - b0, and the
+    delta is (b0 - a0)(b1 - a1).  On stacked supports several pairs of a run
+    merge to the same interval, so each merged segment is built once.
     """
     segs = s.segments
     n = len(segs)
@@ -220,6 +228,7 @@ def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]
             while hi < n and segs[hi].coset == coset and (
                     segs[hi].line is line or segs[hi].line == line):
                 hi += 1
+            built: dict[tuple[int, int], Segment] = {}  # (start, end) -> segment
         a0, a1 = starts[i], ends[i]
         for j in range(i + 1, hi):
             b0 = starts[j]
@@ -228,9 +237,19 @@ def elementary_edges(s: Multisegment) -> dict[Multisegment, tuple[int, int, int]
             b1 = ends[j]
             if not a0 < b0 <= a1 < b1:
                 continue
-            merged = (Segment(a.line, a.coset, a0, b1 - a0),)
+            if max_delta is not None and (b0 - a0) * (b1 - a1) > max_delta:
+                if b0 - a0 > max_delta:
+                    break  # b0 only grows along the run, and b1 - a1 >= 1
+                continue
+            union = built.get((a0, b1))
+            if union is None:
+                union = built[a0, b1] = Segment(line, coset, a0, b1 - a0)
+            merged = (union,)
             if b0 < a1:
-                merged += (Segment(a.line, a.coset, b0, a1 - b0),)
+                inter = built.get((b0, a1))
+                if inter is None:
+                    inter = built[b0, a1] = Segment(line, coset, b0, a1 - b0)
+                merged += (inter,)
             child = Multisegment(segs[:i] + segs[i + 1:j] + segs[j + 1:] + merged)
             out.setdefault(child, (a1 - a0, b1 - b0, a1 - b0))
     return out
@@ -241,22 +260,30 @@ def statistic(s: Multisegment) -> int:
     return sum(seg.length * (seg.length - 1) // 2 for seg in s)
 
 
-def _walk(s: Multisegment, prune=None):
-    """Breadth-first walk down from s: yields (node, elementary_edges(node))
-    once per expanded node.  A new child is marked seen, and is not expanded
-    when prune(child) holds."""
+def _walk(s: Multisegment, bound: int | None = None):
+    """Breadth-first walk down from s: yields (node, edges) once per
+    expanded node, edges being elementary_edges(node) when bound is None.
+
+    With a bound, each node carries its statistic (its parent's plus the
+    delta of the edge that reached it), edges holds only the children whose
+    statistic is at most bound, and a child is expanded only when its
+    statistic is below bound.  So a bound above statistic(s) expands
+    exactly the t <= s with statistic(t) < bound, and no child past the
+    bound is built."""
     seen = {s}
-    frontier = [s]
+    frontier = [(s, statistic(s))]
     while frontier:
         nxt = []
-        for node in frontier:
-            edges = elementary_edges(node)
+        for node, stat in frontier:
+            edges = elementary_edges(
+                node, max_delta=None if bound is None else bound - stat)
             yield node, edges
-            for child in edges:
+            for child, (a, b, c) in edges.items():
                 if child not in seen:
                     seen.add(child)
-                    if prune is None or not prune(child):
-                        nxt.append(child)
+                    child_stat = stat + (a - c) * (b - c)
+                    if bound is None or child_stat < bound:
+                        nxt.append((child, child_stat))
         frontier = nxt
 
 
@@ -277,8 +304,9 @@ def leq(s0: Multisegment, s: Multisegment) -> bool:
     """True iff s0 == s or s0 is reachable from s by elementary operations.
 
     Pruned by support equality and by strict statistic growth: every step
-    down strictly increases the statistic, so branches whose statistic
-    exceeds statistic(s0) are dead.
+    down strictly increases the statistic, so s0 can only be reached through
+    nodes whose statistic is below statistic(s0).  The walk is bounded by
+    that statistic, so it never builds a child past the target.
     """
     if s0 == s:
         return True
@@ -287,7 +315,7 @@ def leq(s0: Multisegment, s: Multisegment) -> bool:
     target = statistic(s0)
     if target <= statistic(s):
         return False
-    return any(s0 in edges for _, edges in _walk(s, lambda c: statistic(c) >= target))
+    return any(s0 in edges for _, edges in _walk(s, target))
 
 
 def twist_orbit(s: Multisegment) -> Counter:

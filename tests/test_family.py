@@ -505,6 +505,26 @@ class TestRankBoundedWitness:
         types = {e["point"]: e["value"] for e in report["trace_log"] if e["stage"] == "type_trace"}
         assert types == {"a": 1, "b": int(witness is not None)}
 
+    def test_stacked_singletons_that_no_placement_tiles(self, capsys):
+        """13 length-4 segments against 2 x 26 stacked singletons: 4 does not
+        divide 26, so no placement tiles the support.  The lowest point
+        with multiplicity left must start an unplaced segment, and the
+        search sees it at once instead of trying every prefix."""
+        a = ms(*[(4 * i, 4) for i in range(13)])
+        b = ms(*[(i, 1) for i in range(26) for _ in range(2)])
+        t0 = time.perf_counter()
+        assert twist_comparison_witness(a, b) is None
+        assert time.perf_counter() - t0 < 0.1
+        doc = json.dumps(_two_point_document(a, b))
+        t0 = time.perf_counter()
+        status = main(["family", doc, "a"])
+        assert time.perf_counter() - t0 < 1.0
+        report = json.loads(capsys.readouterr().out)
+        assert status == 0
+        assert report["X0"] == ["a"]
+        types = {e["point"]: e["value"] for e in report["trace_log"] if e["stage"] == "type_trace"}
+        assert types == {"a": 1, "b": 0}
+
     def test_a_witness_deeper_than_the_recursion_limit(self, capsys):
         """1,200 singletons at b against [0, 2) and 1,198 singletons at a:
         the search places 1,199 segments, one level each."""

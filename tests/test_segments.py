@@ -16,6 +16,7 @@ from bzcalc.segments import (
     CuspidalLine,
     Multisegment,
     Segment,
+    _walk,
     admissible_order,
     closure_edges,
     downward_closure,
@@ -29,6 +30,7 @@ from bzcalc.segments import (
     support,
     twist_orbit,
 )
+from bzcalc.dimensions import elementary_statistic_delta
 from bzcalc.exceptions import DomainError
 
 from conftest import UNR, ms, seg, interval_decompositions, multisegments_with_support
@@ -240,6 +242,53 @@ class TestKernelOracle:
             elementary_edges(s)
             linked = sum(is_linked(a, b) for a, b in itertools.combinations(s, 2))
             assert len(inits) == linked, s
+
+
+# every support {0, ..., m-1} x mu with m * mu <= 8
+SMALL_SUPPORTS = [(m, mu) for m in range(1, 9) for mu in range(1, 8 // m + 1)]
+
+
+class TestStatisticBound:
+    """elementary_edges with max_delta and _walk with a bound, against the
+    unbounded forms: the same items in the same order, filtered."""
+
+    @pytest.mark.parametrize("m,mu", SMALL_SUPPORTS)
+    def test_edges_are_the_unbounded_edges_filtered(self, m, mu):
+        for s in multisegments_with_support(m, mu):
+            full = list(elementary_edges(s).items())
+            deltas = [elementary_statistic_delta(*abc) for _, abc in full]
+            for d in range(max(deltas, default=0) + 1):
+                expected = [edge for edge, delta in zip(full, deltas) if delta <= d]
+                assert list(elementary_edges(s, max_delta=d).items()) == expected, (s, d)
+
+    @pytest.mark.parametrize("m,mu", SMALL_SUPPORTS)
+    def test_walk_expands_the_closure_below_the_bound(self, m, mu):
+        for s in multisegments_with_support(m, mu):
+            closure = downward_closure(s)
+            top = max(map(statistic, closure))
+            for bound in range(statistic(s) + 1, top + 2):
+                nodes = []
+                for node, edges in _walk(s, bound):
+                    nodes.append(node)
+                    assert edges == elementary_edges(node, max_delta=bound - statistic(node))
+                assert len(nodes) == len(set(nodes))
+                assert set(nodes) == {t for t in closure if statistic(t) < bound}, (s, bound)
+
+    def test_no_child_past_the_bound_is_built(self, monkeypatch):
+        """leq from 2 x 4 stacked singletons down to a multisegment two
+        steps below them builds no child of statistic above 2."""
+        top = ms(*[(i, 1) for i in range(4) for _ in range(2)])
+        target = ms((0, 2), (0, 2), (2, 1), (2, 1), (3, 1), (3, 1))
+        stats = []
+        real_init = Multisegment.__init__
+
+        def recording(self, segments):
+            real_init(self, segments)
+            stats.append(statistic(self))
+
+        monkeypatch.setattr(Multisegment, "__init__", recording)
+        assert leq(target, top)
+        assert stats and max(stats) == statistic(target) == 2
 
 
 class TestPartialOrder:
