@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .exceptions import DomainError, ModelViolation
 from . import dimensions as dims
@@ -36,7 +35,8 @@ def _load_json(source: str):
                 text = getattr(sys.stdin, "buffer", sys.stdin).read()
                 text = text if isinstance(text, str) else text.decode("utf-8")
             else:
-                text = Path(source).read_text("utf-8")
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
             raise DomainError(f"cannot read {origin}: {exc}") from exc
     try:

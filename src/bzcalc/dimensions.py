@@ -8,11 +8,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .exceptions import DomainError
-from .segments import Multisegment, _json_int, leq, statistic
+from .segments import Multisegment, _json_int, _setattr, _Value, leq, statistic
 
 DEFAULT_MAX_N = 12  # the largest n for parabolic_alternating_sum
 
@@ -119,18 +118,26 @@ def _exact_root(n: int, k: int) -> int | None:
     return r if r**k == n else None
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(_Value):
     """A residue-field cardinality q = p^f."""
 
-    p: int
-    f: int
+    __slots__ = __match_args__ = ("p", "f")
 
-    def __post_init__(self):
-        if not _is_prime(_json_int(self.p, "p")):
-            raise DomainError(f"p must be prime, got {self.p}")
-        if _json_int(self.f, "f") < 1:
-            raise DomainError(f"f must be >= 1, got {self.f}")
+    def __init__(self, p: int, f: int):
+        if not _is_prime(_json_int(p, "p")):
+            raise DomainError(f"p must be prime, got {p}")
+        if _json_int(f, "f") < 1:
+            raise DomainError(f"f must be >= 1, got {f}")
+        _setattr(self, "p", p)
+        _setattr(self, "f", f)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.f) == (other.p, other.f)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.f))
 
     @property
     def q(self) -> int:
@@ -162,20 +169,28 @@ class PrimePower:
         raise DomainError(f"{q} is not a prime power")
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Value):
     """An ordered list of positive parts summing to n."""
 
-    parts: tuple[int, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
+    def __init__(self, parts: Iterable[int]):
+        sizes = tuple(parts)
         # type() rather than isinstance(): a bool is an int
-        if not self.parts or not all(type(x) is int and x >= 1 for x in self.parts):
-            need = ">= 1" if all(type(x) is int for x in self.parts) else "integers"
+        if not sizes or not all(type(x) is int and x >= 1 for x in sizes):
+            need = ">= 1" if all(type(x) is int for x in sizes) else "integers"
             # the parts as read, not a generator's repr
-            read = parts if isinstance(parts, (list, tuple)) else self.parts
+            read = parts if isinstance(parts, (list, tuple)) else sizes
             raise DomainError(f"composition parts must be {need}, got {read!r}")
+        _setattr(self, "parts", sizes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:

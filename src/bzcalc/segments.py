@@ -12,74 +12,119 @@ Segments of different runs are never linked, so elementary_edges pairs
 segments only inside a run, on their integer endpoints, trying the pairs
 (i, j), i < j, in lexicographic order of canonical position.
 
+The package's value classes are slotted classes over _Value, which gives
+them what a frozen dataclass has without importing dataclasses.
 CuspidalLine, Segment and Multisegment compute their hash once, when they
-are built: the value the dataclass would compute on every call.  A hash of
-str fields changes with PYTHONHASHSEED, so the cached value never travels:
-pickling and copying rebuild a value through its constructor.
+are built.  A hash of str fields changes with PYTHONHASHSEED, so the cached
+value never travels: pickling and copying rebuild a value through its
+constructor.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
 
 from .exceptions import DomainError
 
+_setattr = object.__setattr__  # how a value class sets its slots in __init__
 
-@dataclass(frozen=True)
-class CuspidalLine:
+
+class _Value:
+    """An immutable value whose fields __match_args__ lists.
+
+    A subclass sets its slots in __init__ through _setattr and writes its
+    own __eq__ and __hash__, as @dataclass(frozen=True) would.  From here
+    it gets the dataclass repr, pickling and copying through its
+    constructor, __replace__ (which copy.replace calls), and
+    FrozenInstanceError on every assignment or deletion.  __hash__ reads
+    the _hash slot of a class that computes its hash once; a class that
+    defines __eq__ must name __hash__ again, or it is None.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __replace__(self, /, **changes):
+        for name in self.__match_args__:
+            changes.setdefault(name, getattr(self, name))
+        return self.__class__(**changes)
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # imported on misuse only
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class CuspidalLine(_Value):
     """A line of twists of one supercuspidal: GL_m block size plus inertial class.
 
     Two lines with equal ``line_id`` must agree in every field.  When no
     inertial label is declared, the line id doubles as its inertial class.
     """
 
-    line_id: str
-    block_size: int = 1
-    inertial_label: str | None = None
+    __match_args__ = ("line_id", "block_size", "inertial_label")
+    __slots__ = (*__match_args__, "_hash")
 
-    def __post_init__(self):
-        if type(self.block_size) is not int or self.block_size < 1:
-            _json_int(self.block_size, "block_size")
-            raise DomainError(f"block_size must be >= 1, got {self.block_size}")
-        if self.inertial_label is None:
-            object.__setattr__(self, "inertial_label", self.line_id)
-        object.__setattr__(
-            self, "_hash", hash((self.line_id, self.block_size, self.inertial_label))
-        )
+    def __init__(self, line_id: str, block_size: int = 1, inertial_label: str | None = None):
+        if type(block_size) is not int or block_size < 1:
+            _json_int(block_size, "block_size")
+            raise DomainError(f"block_size must be >= 1, got {block_size}")
+        if inertial_label is None:
+            inertial_label = line_id
+        _setattr(self, "line_id", line_id)
+        _setattr(self, "block_size", block_size)
+        _setattr(self, "inertial_label", inertial_label)
+        _setattr(self, "_hash", hash((line_id, block_size, inertial_label)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.line_id, self.block_size, self.inertial_label)
+                    == (other.line_id, other.block_size, other.inertial_label))
+        return NotImplemented
 
-    def __reduce__(self):
-        return (CuspidalLine, (self.line_id, self.block_size, self.inertial_label))
+    __hash__ = _Value.__hash__
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Value):
     """The interval {start, ..., start + length - 1} on (line, coset)."""
 
-    line: CuspidalLine
-    coset: str
-    start: int
-    length: int
+    __match_args__ = ("line", "coset", "start", "length")
+    __slots__ = (*__match_args__, "_hash")
 
-    def __post_init__(self):
-        if type(self.start) is not int or type(self.length) is not int or self.length < 1:
-            _json_int(self.start, "segment start")
-            _json_int(self.length, "segment length")
-            raise DomainError(f"segment length must be >= 1, got {self.length}")
-        object.__setattr__(
-            self, "_hash", hash((self.line, self.coset, self.start, self.length))
-        )
+    def __init__(self, line: CuspidalLine, coset: str, start: int, length: int):
+        if type(start) is not int or type(length) is not int or length < 1:
+            _json_int(start, "segment start")
+            _json_int(length, "segment length")
+            raise DomainError(f"segment length must be >= 1, got {length}")
+        _setattr(self, "line", line)
+        _setattr(self, "coset", coset)
+        _setattr(self, "start", start)
+        _setattr(self, "length", length)
+        _setattr(self, "_hash", hash((line, coset, start, length)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.line, self.coset, self.start, self.length)
+                    == (other.line, other.coset, other.start, other.length))
+        return NotImplemented
 
-    def __reduce__(self):
-        return (Segment, (self.line, self.coset, self.start, self.length))
+    __hash__ = _Value.__hash__
 
     @property
     def end(self) -> int:
@@ -98,26 +143,27 @@ def _canonical_key(seg: Segment):
     )
 
 
-@dataclass(frozen=True)
-class Multisegment:
+class Multisegment(_Value):
     """A bag of segments, stored in canonical sorted order.
 
     Bag equality is syntactic equality of the sorted tuple, so multisegments
     can be hashed and deduplicated exactly.
     """
 
-    segments: tuple[Segment, ...]
+    __match_args__ = ("segments",)
+    __slots__ = (*__match_args__, "_hash", "__dict__")  # __dict__: the cached properties
 
     def __init__(self, segments: Iterable[Segment]):
         segs = tuple(sorted(segments, key=_canonical_key))
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_hash", hash((segs,)))
+        _setattr(self, "segments", segs)
+        _setattr(self, "_hash", hash((segs,)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.segments == other.segments
+        return NotImplemented
 
-    def __reduce__(self):
-        return (Multisegment, (self.segments,))
+    __hash__ = _Value.__hash__
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
@@ -211,7 +257,10 @@ def elementary_edges(
     [a0, a1), [b0, b1) is linked iff a0 < b0 <= a1 < b1; its union is
     [a0, b1), its intersection [b0, a1) when b0 < a1, c = a1 - b0, and the
     delta is (b0 - a0)(b1 - a1).  On stacked supports several pairs of a run
-    merge to the same interval, so each merged segment is built once.
+    merge to the same interval, so each merged segment is built once.  A
+    pair whose first segment equals the one before it in its run, or whose
+    second segment equals the one before it (not the first), gives the
+    child, with the same (a, b, c), of a pair tried before; it is skipped.
     """
     segs = s.segments
     n = len(segs)
@@ -229,13 +278,16 @@ def elementary_edges(
                     segs[hi].line is line or segs[hi].line == line):
                 hi += 1
             built: dict[tuple[int, int], Segment] = {}  # (start, end) -> segment
+        elif starts[i] == starts[i - 1] and ends[i] == ends[i - 1]:
+            continue
         a0, a1 = starts[i], ends[i]
         for j in range(i + 1, hi):
             b0 = starts[j]
             if b0 > a1:
                 break
             b1 = ends[j]
-            if not a0 < b0 <= a1 < b1:
+            if not a0 < b0 <= a1 < b1 or (
+                    j > i + 1 and b0 == starts[j - 1] and b1 == ends[j - 1]):
                 continue
             if max_delta is not None and (b0 - a0) * (b1 - a1) > max_delta:
                 if b0 - a0 > max_delta:

@@ -7,23 +7,21 @@ ones on the superdiagonal of each block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
 
 from .exceptions import DomainError
-from .segments import Multisegment
+from .segments import Multisegment, _setattr, _Value
 
 DEFAULT_EXP_BOUND = 64
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class JordanPartition:
+class JordanPartition(_Value):
     """A bag of Jordan block sizes, kept in canonical descending order."""
 
-    blocks: tuple[int, ...]
+    __slots__ = __match_args__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[int]):
         sizes = tuple(blocks)  # checked before sorting: a str does not sort with ints
@@ -31,35 +29,49 @@ class JordanPartition:
             need = ">= 1" if all(type(b) is int for b in sizes) else "integers"
             read = blocks if isinstance(blocks, (list, tuple)) else sizes  # not a generator's repr
             raise DomainError(f"block sizes must be {need}, got {read!r}")
-        object.__setattr__(self, "blocks", tuple(sorted(sizes, reverse=True)))
+        _setattr(self, "blocks", tuple(sorted(sizes, reverse=True)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     @property
     def n(self) -> int:
         return sum(self.blocks)
 
 
-@dataclass(frozen=True)
-class WDShadow:
+class WDShadow(_Value):
     """(restriction to inertia, monodromy) without the Frobenius action.
 
     Inertia is a bag of (label, dimension) summands; total dimension must
     match the partition size.
     """
 
-    inertia: tuple[tuple[str, int], ...]
-    partition: JordanPartition
+    __slots__ = __match_args__ = ("inertia", "partition")
 
     def __init__(self, inertia: Iterable[tuple[str, int]], partition: JordanPartition):
         pairs = tuple((str(l), d) for l, d in inertia)
         if not all(type(d) is int for _, d in pairs):
             raise DomainError(f"inertia dimensions must be integers, got {pairs!r}")
-        object.__setattr__(self, "inertia", tuple(sorted(pairs)))
-        object.__setattr__(self, "partition", partition)
-        if sum(d for _, d in self.inertia) != partition.n:
+        dim = sum(d for _, d in pairs)
+        if dim != partition.n:
             raise DomainError(
-                f"inertia dimension {sum(d for _, d in self.inertia)} "
-                f"does not match partition size {partition.n}"
+                f"inertia dimension {dim} does not match partition size {partition.n}"
             )
+        _setattr(self, "inertia", tuple(sorted(pairs)))
+        _setattr(self, "partition", partition)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.inertia, self.partition) == (other.inertia, other.partition)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inertia, self.partition))
 
 
 def wd_from_multisegment(s: Multisegment) -> WDShadow:
