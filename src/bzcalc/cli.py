@@ -273,12 +273,12 @@ def cmd_seg(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    doc = seg._json_typed(_load_json(args.input), dict, "dims input")
+    doc = seg._json_keys(_load_json(args.input), ("multisegment", "q"), "dims input")
     if "multisegment" not in doc or "q" not in doc:
         raise DomainError('dims input needs "multisegment" and "q" keys')
     s = seg.multisegment_from_json(doc["multisegment"])
     try:
-        q_doc = seg._json_typed(doc["q"], dict, '"q"')
+        q_doc = seg._json_keys(doc["q"], ("p", "f"), '"q"')
         p, f = seg._json_int(q_doc["p"], "p"), seg._json_int(q_doc["f"], "f")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
 
 from .exceptions import DomainError, ModelViolation
 from .segments import (
@@ -27,6 +27,7 @@ from .segments import (
     Segment,
     _declare,
     _json_int,
+    _json_keys,
     _json_typed,
     line_to_json,
     lines_from_json,
@@ -232,26 +233,33 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
     and Kraft, Math. Ann. 256, 1981): a with support(a) = support(s) is
     <= s iff r_ij(a) >= r_ij(s) on every window [i, j] of every (line,
     coset) group, r_ij(m) counting the segments of m that contain [i, j].
-    An unplaced segment adds at most one to a window, and only when it is
-    of the group's inertial label and block size and at least as long, so
-    a prefix is dropped once r_ij(placed) plus those segments falls short
-    of r_ij(s) somewhere.  That drops only dead branches, and a full
-    placement that is not dropped is <= s.  Windows from a start to a last
-    point of segments of s suffice: r_ij(s) is the same on every window
-    between them, and r_ij(placed) only falls as a window grows.
+    Windows from a start to a last point of segments of s suffice: r_ij(s)
+    is the same on every window between them, and r_ij(placed) only falls
+    as a window grows.  An unplaced segment adds at most one to a window,
+    and only when it is of the group's inertial label and block size and
+    at least as long.  The segments left at depth d are segs0[d:], so how
+    many can still cover a window depends on d alone, and the bound is a
+    checklist fixed before the search: checks[d] holds (w, v) when placing
+    depth d leaves v < r_ij(s) segments that can cover w, and then
+    r_ij(s) - r_ij(placed) must be at most v.  That difference only falls
+    as a prefix grows, so a bound that held once keeps holding: a prefix
+    is dropped only when no placement of the rest can make up what it
+    lacks, and in a full placement every window has been checked, so one
+    that is not dropped is <= s.
 
-    The rank bound does not see that the support must be tiled, so from
-    the search's first dead end on, a placement is also dropped when some
-    (line, coset) group's lowest point with multiplicity left can be the
-    start of no unplaced segment: one of the group's inertial label and
-    block size, whose cells all have multiplicity left, and that starts no
-    earlier than the last placed segment of its kind.  Every lower point of
-    the group is full, so each segment that covers that point starts on
-    it; this too drops only dead branches.
+    The rank bound does not see that the support must be tiled, so a
+    placement is also dropped when some (line, coset) group's lowest point
+    with multiplicity left can be the start of no unplaced segment: one of
+    the group's inertial label and block size, whose cells all have
+    multiplicity left, and that starts no earlier than the last placed
+    segment of its kind.  Every lower point of the group is full, so each
+    segment that covers that point starts on it; this too drops only dead
+    branches.
     """
     remaining = support(s)
     starts = list(remaining)
     segs0 = sorted(s0.segments, key=lambda g: -g.length)
+    kinds = [_kind(g) for g in segs0]
     firsts: dict = {}  # (line, coset) -> the sorted starts of its segments in s
     lasts: dict = {}  # (line, coset) -> the sorted last points
     for g in s:
@@ -269,46 +277,32 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
     need: Counter = Counter()  # window -> r_ij(s) - r_ij(placed)
     for g in s:
         need.update(windows(g.line, g.coset, g.start, g.end))
-    # a window's bucket: the _kind of the shortest segment that covers it
-    bucket = {w: (w[3] - w[2] + 1, w[0].inertial_label, w[0].block_size) for w in need}
-    # bucket -> unplaced segments that can cover its windows
-    avail = {b: sum(_kind(g)[1:] == b[1:] and g.length >= b[0] for g in segs0)
-             for b in set(bucket.values())}
-    hist = Counter((b, need[w]) for w, b in bucket.items())  # (bucket, need) -> windows
-    over = sum(need[w] > avail[b] for w, b in bucket.items())  # windows out of reach
-    if over:
-        return None
-    kinds = [_kind(g) for g in segs0]
-    lower = {kd: [b for b in avail if b[1:] == kd[1:] and b[0] <= kd[0]] for kd in kinds}
+    depths: dict = {}  # class -> the depths of its segments, longest first
+    reach: dict = {}  # class -> minus their lengths, so ascending
+    for d, kd in enumerate(kinds):
+        depths.setdefault(kd[1:], []).append(d)
+        reach.setdefault(kd[1:], []).append(-kd[0])
+    checks: list[list] = [[] for _ in segs0]  # depth -> (window, most need)
+    for w, r in need.items():
+        cls = (w[0].inertial_label, w[0].block_size)
+        c = bisect_right(reach[cls], w[2] - w[3] - 1)  # those as long as w
+        if r > c:
+            return None
+        for v in range(r):  # need <= v once the one at depths[cls][c - v - 1] is placed
+            checks[depths[cls][c - v - 1]].append((w, v))
+    # The tiling state: the (line, coset) groups of s are runs of starts,
+    # each in ascending position: group_of[k] is the group of starts[k],
+    # ends[g] is past the run of group g, and low[g] is at or below its
+    # lowest point with multiplicity left.
     classes = [(line.inertial_label, line.block_size) for line, _, _ in starts]
-    # The (line, coset) groups of s are runs of starts, each in ascending
-    # position: group_of[k] is the group of starts[k], ends[g] is past the
-    # run of group g, and low[g] is at or below its lowest point with
-    # multiplicity left.  A search that never meets a dead end needs no
-    # pruning, so these are built, and kept, from the first one on.
-    group_of: list[int] = []
-    low: list[int] = []
-    ends: list[int] = []
-    placed: dict[tuple, list] = {}  # kind -> the starts indices of its placed segments
-    total: Counter = Counter()  # kind -> its segments in s0
+    low = [k for k in range(len(starts)) if not k or starts[k - 1][:2] != starts[k][:2]]
+    ends = low[1:] + [len(starts)]
+    group_of = [g for g, (lo, end) in enumerate(zip(low, ends)) for _ in range(lo, end)]
+    total = Counter(kinds)  # kind -> its segments in s0
+    placed: dict[tuple, list] = {kd: [] for kd in total}  # kind -> its placed starts indices
     of_class: dict[tuple, list] = {}  # class -> its kinds, longest first
-
-    def dead_end() -> None:
-        """Called at every dead end; the first builds the groups."""
-        if low:
-            return
-        for k, (line, coset, _) in enumerate(starts):
-            if not k or starts[k - 1][:2] != (line, coset):
-                low.append(k)
-                ends.append(k)
-            group_of.append(len(low) - 1)
-            ends[-1] = k + 1
-        total.update(kinds)
-        for kd in total:
-            of_class.setdefault(kd[1:], []).append(kd)
-            placed[kd] = []
-        for k, trail in frames:
-            placed[trail[1]].append(k)
+    for kd in total:
+        of_class.setdefault(kd[1:], []).append(kd)
 
     def tiles() -> bool:
         """Whether every group's lowest point with multiplicity left can
@@ -330,78 +324,53 @@ def _first_placement(s0: Multisegment, s: Multisegment) -> Multisegment | None:
                 return False
         return True
 
-    def move(trail: tuple, d: int) -> int:
-        """Place (d = -1) or remove (d = +1) a segment: its cells, the needs
-        of its windows and the avail of the buckets it can cover move by d,
-        and once the groups are built, so do its kind's placed starts and
-        its group's low.  Returns the change in over."""
-        k, kd, cells, inside, buckets = trail
-        for c in cells:
-            remaining[c] += d
-        if low:
-            if d < 0:
-                placed[kd].append(k)
-            else:
-                placed[kd].pop()
-                low[group_of[k]] = min(low[group_of[k]], k)
-        delta = 0
-        for b in buckets:
-            a = avail[b]
-            delta += hist[b, a] if d < 0 else -hist[b, a + 1]
-            avail[b] = a + d
-        for w, b in inside:
-            v = need[w]
-            need[w] = v + d
-            hist[b, v] -= 1
-            hist[b, v + d] += 1
-            a = avail[b]
-            delta += (v + d > a) - (v > a)
-        return delta
+    def move(k: int, kd: tuple, d: int) -> None:
+        """Place (d = -1) or remove (d = +1) a segment of kind kd at
+        starts[k]: its cells and the needs of its windows move by d, its
+        kind's placed starts follow, and a removal lowers its group's low."""
+        line, coset, pos = starts[k]
+        for t in range(kd[0]):
+            remaining[line, coset, pos + t] += d
+        for w in inside_of[k, kd[0]]:
+            need[w] += d
+        if d < 0:
+            placed[kd].append(k)
+        else:
+            placed[kd].pop()
+            low[group_of[k]] = min(low[group_of[k]], k)
 
-    last_of_kind: dict[tuple, int] = {}
-    floor_of = []  # depth -> the depth of the last segment of its kind before it
-    for depth, kd in enumerate(kinds):
-        floor_of.append(last_of_kind.get(kd))
-        last_of_kind[kd] = depth
-    floor_of.append(None)  # the depth past the last, where the search ends
-    inside_of: dict[tuple, list] = {}  # (starts index, length) -> (window, bucket)
-    # The search keeps its own stack, one frame per placed segment, since a
-    # placement is as deep as s0 is long.
-    frames: list[tuple] = []  # (starts index, trail)
-    k = 0  # the next starts index to try at depth len(frames)
+    inside_of: dict[tuple, list] = {}  # (starts index, length) -> its windows in need
+    # The search keeps its own stack, one starts index per placed segment,
+    # since a placement is as deep as s0 is long.
+    frames: list[int] = []
+    k = 0  # the next starts index to try at depth len(frames), if past its kind's last
     while len(frames) < len(segs0):
         depth = len(frames)
         kd = kinds[depth]
-        length, cls = kd[0], kd[1:]
-        for k in range(k, len(starts)):
+        length, cls, at = kd[0], kd[1:], placed[kd]
+        for k in range(max(k, at[-1] if at else 0), len(starts)):
             if classes[k] != cls:
                 continue
             line, coset, pos = starts[k]
-            cells = [(line, coset, pos + t) for t in range(length)]
-            if any(remaining[c] <= 0 for c in cells):
+            if any(remaining[line, coset, pos + t] <= 0 for t in range(length)):
                 continue
-            inside = inside_of.get((k, length))
-            if inside is None:
-                inside = inside_of[k, length] = [
-                    (w, bucket[w]) for w in windows(line, coset, pos, pos + length) if w in bucket]
-            trail = (k, kd, cells, inside, lower[kd])
-            over += move(trail, -1)
-            if not over and (not low or tiles()):
+            if (k, length) not in inside_of:
+                inside_of[k, length] = [
+                    w for w in windows(line, coset, pos, pos + length) if w in need]
+            move(k, kd, -1)
+            if all(need[w] <= most for w, most in checks[depth]) and tiles():
                 break
-            over += move(trail, 1)
-            dead_end()
+            move(k, kd, 1)
         else:
-            dead_end()
             if not frames:
                 return None
-            k, trail = frames.pop()
-            over += move(trail, 1)
+            k = frames.pop()
+            move(k, kinds[depth - 1], 1)
             k += 1
             continue
-        frames.append((k, trail))
-        floor = floor_of[depth + 1]
-        k = 0 if floor is None else frames[floor][0]
-    return Multisegment(Segment(*starts[k], g.length) for (k, _), g in zip(frames, segs0))
+        frames.append(k)
+        k = 0
+    return Multisegment(Segment(*starts[k], g.length) for k, g in zip(frames, segs0))
 
 
 # --- seed-derived opaque traces ---------------------------------------------
@@ -840,10 +809,11 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
         }
 
     def _field(e: dict) -> PrimePower:
-        _json_typed(e, dict, "a field")
+        _json_keys(e, ("p", "f"), "a field")
         return PrimePower(_json_int(e["p"], "p"), _json_int(e["f"], "f"))
 
-    _json_typed(doc, dict, "a scenario")
+    _json_keys(doc, ("fields", "points", "closed_sets", "sigma", "lines", "assignment",
+                     "unit_seeds", "declared"), "a scenario")
     try:
         fields = tuple(
             _field(e) for e in _json_typed(doc["fields"], list, '"fields"')

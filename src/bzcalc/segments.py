@@ -396,6 +396,15 @@ def _json_typed(value, kind: type, name: str):
     return value
 
 
+def _json_keys(value, allowed: tuple[str, ...], name: str) -> dict:
+    """value, if it is a JSON object that has no key but those allowed."""
+    for key in _json_typed(value, dict, name):
+        if key not in allowed:
+            unknown = sorted(value.keys() - allowed, key=str)
+            raise DomainError(f"{name} has unknown keys {unknown}")
+    return value
+
+
 def _json_int(value, name: str) -> int:
     """value, if it is a JSON integer: an int, never a bool, float or str."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -412,7 +421,7 @@ def _declare(table: dict[str, CuspidalLine], line: CuspidalLine) -> None:
 def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
     table: dict[str, CuspidalLine] = {}
     for entry in _json_typed(doc, list, '"lines"'):
-        _json_typed(entry, dict, "a line declaration")
+        _json_keys(entry, ("line_id", "block_size", "inertial_label"), "a line declaration")
         try:
             label = entry.get("inertial_label")
             line = CuspidalLine(
@@ -431,13 +440,13 @@ def lines_from_json(doc: list[dict]) -> dict[str, CuspidalLine]:
 def multisegment_from_json(
     doc: dict, lines: Mapping[str, CuspidalLine] | None = None
 ) -> Multisegment:
-    _json_typed(doc, dict, "a multisegment")
+    _json_keys(doc, ("lines", "segments"), "a multisegment")
     table = dict(lines) if lines else {}
     for line in lines_from_json(doc.get("lines", [])).values():
         _declare(table, line)
     segs = []
     for entry in _json_typed(doc.get("segments", []), list, '"segments"'):
-        _json_typed(entry, dict, "a segment")
+        _json_keys(entry, ("line", "coset", "start", "len"), "a segment")
         try:
             line_id = _json_typed(entry["line"], str, "line")
             line = table.get(line_id)

@@ -782,6 +782,47 @@ class TestDeclaredWithoutEffect:
         ]
 
 
+class TestUnknownKeys:
+    """A key that no reader knows, such as a misspelling, exits 1 with one
+    line that names it, instead of falling back to a default."""
+
+    @pytest.mark.parametrize(
+        "argv, name, key",
+        [
+            (["seg", '{"segmnets": []}', "--statistic"], "a multisegment", "segmnets"),
+            (["seg", _wd_segment(cosett="c1")], "a segment", "cosett"),
+            (["wd", _wd_segment(line="A", lines=[{"line_id": "A", "block_sise": 2}])],
+             "a line declaration", "block_sise"),
+            (["seg", MS_L3, "--leq", _wd_segment(length=2)], "a segment", "length"),
+            (["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": {"p": 3, "f": 1},
+                                  "field": 3})], "dims input", "field"),
+            (["dims", json.dumps({"multisegment": json.loads(MS_L3),
+                                  "q": {"p": 3, "f": 1, "q": 3}})], '"q"', "q"),
+            (["family", _readme_with(["unit_seed"], {}), "a"], "a scenario", "unit_seed"),
+            (["family", _readme_with(["fields", 0, "n"], 1), "a"], "a field", "n"),
+            (["family", _readme_with(["assignment", "a", 0, "segments", 0, "cosett"], "c1"),
+              "a"], "a segment", "cosett"),
+        ],
+        ids=["multisegment", "segment", "line", "leq-segment", "dims", "dims-q", "scenario",
+             "scenario-field", "scenario-segment"],
+    )
+    def test_exit_one_with_one_line(self, capsys, argv, name, key):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{name} has unknown keys [{key!r}]" in captured.err
+
+    def test_keys_listed_in_sorted_order_under_every_hash_seed(self):
+        doc = _wd_segment(cosett="c1", length=2, end=2)
+        runs = [_python("-m", "bzcalc.cli", "seg", doc, PYTHONHASHSEED=str(seed))
+                for seed in (0, 1)]
+        assert [r.returncode for r in runs] == [1, 1]
+        assert runs[0].stderr == b"error: a segment has unknown keys ['cosett', 'end', 'length']\n"
+        assert runs[1].stderr == runs[0].stderr
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["seg", MS_SINGLETONS, "--closure", "--statistic", "--order"]

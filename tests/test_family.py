@@ -484,6 +484,31 @@ class TestRankBoundedWitness:
                 pairs += len(pool) ** 2
         assert pairs == 5592
 
+    def test_every_pair_over_two_groups_of_one_class(self):
+        """Supports {0..m-1} x mu on (unr, c0) and on (U, c1), of at most 4
+        points in all, one of them possibly empty: both lines are of one
+        inertial class, so a class's windows lie in two groups and a
+        segment of s0 may go to either."""
+        unr, u = WITNESS_LINES[:2]
+        shapes = [(m, mu) for m in range(5) for mu in range(1, 5) if m * mu <= 4 and (m or mu == 1)]
+        by_size: dict = {}
+        for m1, mu1 in shapes:
+            for m2, mu2 in shapes:
+                if 0 < m1 * mu1 + m2 * mu2 <= 4:
+                    by_size.setdefault(m1 * mu1 + m2 * mu2, []).extend(
+                        Multisegment(a.segments + b.segments)
+                        for a in sorted(multisegments_with_support(m1, mu1, unr, "c0"), key=repr)
+                        for b in sorted(multisegments_with_support(m2, mu2, u, "c1"), key=repr))
+        pairs = witnesses = 0
+        for pool in by_size.values():
+            for s0 in pool:
+                for s in pool:
+                    witness = twist_comparison_witness(s0, s)
+                    assert witness == _witness_by_placement(s0, s)
+                    pairs += 1
+                    witnesses += witness is not None
+        assert (pairs, witnesses) == (2158, 1015)
+
     @pytest.mark.parametrize("seed", sorted(STACKED_PAIRS))
     def test_stacked_pair(self, seed):
         s0, s, witness = (None if x is None else _unr(x) for x in STACKED_PAIRS[seed])

@@ -166,3 +166,38 @@ def test_cold_start_loads_no_dataclasses():
         capture_output=True, env=env, timeout=60, check=True,
     ).stdout
     assert json.loads(out) == {"import": [], "statuses": [0] * 5, "dataclasses_after_runs": False}
+
+
+# What a family run loads on top of `import bzcalc.cli`: dataclasses and
+# what it imports, but not typing.
+_FAMILY_COLD_START = """
+import io, json, sys
+import bzcalc.cli
+sys.stdout = io.StringIO()
+try:
+    status = bzcalc.cli.main(["family", %r, "a", "--seeds", "2"])
+finally:
+    sys.stdout = sys.__stdout__
+print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
+                  "typing": "typing" in sys.modules}))
+"""
+
+
+def test_family_loads_no_typing():
+    doc = json.dumps({
+        "fields": [{"p": 3, "f": 1}],
+        "points": ["a", "b"],
+        "closed_sets": [[], ["a"], ["b"], ["a", "b"]],
+        "sigma": ["a", "b"],
+        "assignment": {"a": [{"segments": [{"line": "unr", "start": 0, "len": 2}]}],
+                       "b": [{"segments": [{"line": "unr", "start": i, "len": 1}
+                                           for i in range(2)]}]},
+        "unit_seeds": {"k1": 17, "iwahori": 5},
+    })
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _FAMILY_COLD_START % doc],
+        capture_output=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert json.loads(out) == {"status": 0, "dataclasses": True, "typing": False}
