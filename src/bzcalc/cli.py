@@ -11,11 +11,10 @@ import os
 import sys
 
 from .exceptions import DomainError, ModelViolation
-from . import dimensions as dims
 from . import segments as seg
 
-# family and weildeligne are imported by the subcommands that run them, so
-# seg, dims and identity-check never compile them.
+# dimensions, family and weildeligne are imported by the subcommands that
+# run them, so seg compiles segments alone.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -141,9 +140,22 @@ def _dumps(doc, indent: str = "", flush=None) -> str:
     return "".join(pieces)
 
 
+class _Memo(dict):
+    """fn(key) by key, each computed on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _multisegments(nodes: list, lines: list) -> _Rendered:
     """The array of multisegment_to_json(node) for node in nodes, each of
-    whose "lines" value is lines."""
+    whose "lines" value is lines.  Each distinct segment is rendered once."""
 
     def texts(indent: str):
         i1 = indent + "  "
@@ -154,39 +166,34 @@ def _multisegments(nodes: list, lines: list) -> _Rendered:
             "\n" + i2 + "{\n" + i3 + '"coset": %s,\n' + i3 + '"len": %d,\n'
             + i3 + '"line": %s,\n' + i3 + '"start": %d\n' + i2 + "}"
         )
+        block = _Memo(lambda g: segment % (
+            _encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start))
         tail = "\n" + i1 + "]\n" + indent + "}"
         for node in nodes:
             if not node.segments:
                 yield head + "]\n" + indent + "}"
                 continue
-            yield head + ",".join([
-                segment % (_encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start)
-                for g in node.segments
-            ]) + tail
+            yield head + ",".join([block[g] for g in node.segments]) + tail
 
     return _Rendered(len(nodes), texts)
 
 
-def _edges(rows: list) -> _Rendered:
+def _edges(rows: list, stats: list) -> _Rendered:
     """The "edges" array of seg --closure, from sorted (parent index,
-    child index, (a, b, c)) rows."""
+    child index, (a, b, c)) rows; stats[k] is the statistic of node k."""
 
     def texts(indent: str):
         i1 = indent + "  "
         i2 = i1 + "  "
         head = "{\n" + i1 + '"child": '
-        middles: dict = {}  # (a, b, c) -> the text between child and parent, and after parent
+        # (a, b, c) -> the text between child and parent
+        middles = _Memo(lambda abc: (
+            f',\n{i1}"lengths": [\n{i2}{abc[0]},\n{i2}{abc[1]}\n{i1}],\n'
+            f'{i1}"overlap": {abc[2]},\n{i1}"parent": '))
+        delta = f',\n{i1}"statistic_delta": '
+        tail = f"\n{indent}}}"
         for parent, child, abc in rows:
-            middle = middles.get(abc)
-            if middle is None:
-                a, b, c = abc
-                middle = middles[abc] = (
-                    f',\n{i1}"lengths": [\n{i2}{a},\n{i2}{b}\n{i1}],\n'
-                    f'{i1}"overlap": {c},\n{i1}"parent": ',
-                    f',\n{i1}"statistic_delta": '
-                    f"{dims.elementary_statistic_delta(a, b, c)}\n{indent}}}",
-                )
-            yield f"{head}{child}{middle[0]}{parent}{middle[1]}"
+            yield f"{head}{child}{middles[abc]}{parent}{delta}{stats[child] - stats[parent]}{tail}"
 
     return _Rendered(len(rows), texts)
 
@@ -225,7 +232,9 @@ def _emit(doc: dict, output: str | None) -> None:
         raise DomainError(f"cannot write {output}: {exc}") from exc
 
 
-def _parse_q(value: str) -> dims.PrimePower:
+def _parse_q(value: str):
+    from . import dimensions as dims
+
     try:
         q = int(value)
     except ValueError as exc:
@@ -246,22 +255,24 @@ def cmd_seg(args) -> int:
     # Every child and every closure node has the support of s, hence its
     # lines; so their documents differ only in "segments", and they sort by
     # the JSON text of "segments" as they would by the whole document's.
+    compact = _Memo(seg._segment_json)
+
+    def key(n):  # seg._segments_json(n)
+        return "[" + ", ".join([compact[g] for g in n.segments]) + "]"
+
     if args.children:
-        children = sorted(seg.elementary_edges(s), key=seg._segments_json)
+        children = sorted(seg.elementary_edges(s), key=key)
         out["children"] = _multisegments(children, out["multisegment"]["lines"])
     if args.closure:
-        closure = seg.closure_edges(s)
-        nodes = sorted(
-            {s}.union(child for _, child in closure),
-            key=lambda n: (seg.statistic(n), seg._segments_json(n)),
-        )
-        index = {node: k for k, node in enumerate(nodes)}
-        rows = sorted([(index[a], index[b], abc) for (a, b), abc in closure.items()])
-        del closure, index  # release the walk before the report is written
-        out["closure"] = {
-            "nodes": _multisegments(nodes, out["multisegment"]["lines"]),
-            "edges": _edges(rows),
-        }
+        graph = seg.closure_edges(s)
+        order = sorted(range(len(graph.nodes)), key=[
+            (stat, key(n)) for n, stat in zip(graph.nodes, graph.stats)].__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # node number -> index
+        rows = sorted([(rank[p], rank[c], abc) for p, c, abc in graph.rows])
+        nodes, stats = [graph.nodes[k] for k in order], [graph.stats[k] for k in order]
+        del graph, rank  # release the walk before the report is written
+        out["closure"] = {"nodes": _multisegments(nodes, out["multisegment"]["lines"]),
+                          "edges": _edges(rows, stats)}
     if args.leq is not None:
         other = seg.multisegment_from_json(_load_json(args.leq))
         lines: dict = {}
@@ -273,16 +284,16 @@ def cmd_seg(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import dimensions as dims
+
     doc = seg._json_keys(_load_json(args.input), ("multisegment", "q"), "dims input")
     if "multisegment" not in doc or "q" not in doc:
         raise DomainError('dims input needs "multisegment" and "q" keys')
     s = seg.multisegment_from_json(doc["multisegment"])
-    try:
-        q_doc = seg._json_keys(doc["q"], ("p", "f"), '"q"')
-        p, f = seg._json_int(q_doc["p"], "p"), seg._json_int(q_doc["f"], "f")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"bad q {doc['q']!r}: {exc}") from exc
-    q = dims.PrimePower(p, f)
+    q_doc = seg._json_keys(doc["q"], ("p", "f"), '"q"')
+    if "p" not in q_doc or "f" not in q_doc:
+        raise DomainError('"q" needs "p" and "f" keys')
+    q = dims.PrimePower(q_doc["p"], q_doc["f"])
     flag, stat = dims._k1_dim_factors(s, q)
     _emit(
         {
@@ -298,6 +309,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    from . import dimensions as dims
+
     n_max = args.n_max
     if n_max < 1:
         raise DomainError(f"--n-max must be at least 1, got {n_max}")
@@ -370,6 +383,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import dimensions as dims
     from . import weildeligne as wd
 
     checks = []

@@ -846,7 +846,7 @@ def scenario_from_json(doc: dict) -> FamilyScenario:
             _declare(lines, line)
         seeds = {
             k: _json_int(v, f"unit seed {k!r}")
-            for k, v in _json_typed(doc["unit_seeds"], dict, '"unit_seeds"').items()
+            for k, v in _json_keys(doc["unit_seeds"], ("k1", "iwahori"), '"unit_seeds"').items()
         }
         declared = _json_typed(doc.get("declared", {}), dict, '"declared"')
         unknown = sorted(declared.keys() - {"type_traces", "ratio_valuations"})

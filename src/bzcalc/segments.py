@@ -312,44 +312,72 @@ def statistic(s: Multisegment) -> int:
     return sum(seg.length * (seg.length - 1) // 2 for seg in s)
 
 
-def _walk(s: Multisegment, bound: int | None = None):
-    """Breadth-first walk down from s: yields (node, edges) once per
-    expanded node, edges being elementary_edges(node) when bound is None.
+def _walk(s: Multisegment, bound: int | None = None, rows: list | None = None):
+    """Breadth-first walk down from s: yields (node, stat, edges) once per
+    expanded node, stat being statistic(node) (its parent's plus the delta
+    of the edge that reached it) and edges being elementary_edges(node)
+    when bound is None.
 
-    With a bound, each node carries its statistic (its parent's plus the
-    delta of the edge that reached it), edges holds only the children whose
-    statistic is at most bound, and a child is expanded only when its
-    statistic is below bound.  So a bound above statistic(s) expands
-    exactly the t <= s with statistic(t) < bound, and no child past the
-    bound is built."""
-    seen = {s}
-    frontier = [(s, statistic(s))]
+    The walk numbers the nodes 0, 1, ... in the order it finds them, s
+    being 0; without a bound it expands them all, in that order.  With
+    rows, a list, it appends (parent number, child number, (a, b, c)) for
+    each edge it yields.
+
+    With a bound, edges holds only the children whose statistic is at most
+    bound, and a child is expanded only when its statistic is below bound.
+    So a bound above statistic(s) expands exactly the t <= s with
+    statistic(t) < bound, and no child past the bound is built."""
+    number = {s: 0}  # node -> its number
+    frontier = [(s, statistic(s), 0)]
     while frontier:
         nxt = []
-        for node, stat in frontier:
+        for node, stat, parent in frontier:
             edges = elementary_edges(
                 node, max_delta=None if bound is None else bound - stat)
-            yield node, edges
-            for child, (a, b, c) in edges.items():
-                if child not in seen:
-                    seen.add(child)
+            yield node, stat, edges
+            for child, abc in edges.items():
+                new = len(number)
+                k = number.setdefault(child, new)
+                if k == new:
+                    a, b, c = abc
                     child_stat = stat + (a - c) * (b - c)
                     if bound is None or child_stat < bound:
-                        nxt.append((child, child_stat))
+                        nxt.append((child, child_stat, k))
+                if rows is not None:
+                    rows.append((parent, k, abc))
         frontier = nxt
 
 
-def closure_edges(
-    s: Multisegment,
-) -> dict[tuple[Multisegment, Multisegment], tuple[int, int, int]]:
-    """Every (parent, child) edge in the downward closure of s, with (a, b, c)."""
-    return {(node, child): abc
-            for node, edges in _walk(s) for child, abc in edges.items()}
+class ClosureGraph:
+    """The downward closure of a multisegment as a numbered graph.
+
+    nodes[k] is node k and stats[k] its statistic, numbered breadth-first
+    from the top, node 0.  rows holds each edge once, as (parent number,
+    child number, (a, b, c)).  len() counts the edges."""
+
+    __slots__ = ("nodes", "stats", "rows")
+
+    def __init__(self, nodes: list, stats: list, rows: list):
+        self.nodes = nodes
+        self.stats = stats
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def closure_edges(s: Multisegment) -> ClosureGraph:
+    """Every edge in the downward closure of s, with (a, b, c), by node number."""
+    nodes, stats, rows = [], [], []
+    for node, stat, _ in _walk(s, rows=rows):
+        nodes.append(node)
+        stats.append(stat)
+    return ClosureGraph(nodes, stats, rows)
 
 
 def downward_closure(s: Multisegment) -> frozenset[Multisegment]:
     """All multisegments <= s, by breadth-first expansion of elementary children."""
-    return frozenset(node for node, _ in _walk(s))
+    return frozenset(node for node, _, _ in _walk(s))
 
 
 def leq(s0: Multisegment, s: Multisegment) -> bool:
@@ -367,7 +395,7 @@ def leq(s0: Multisegment, s: Multisegment) -> bool:
     target = statistic(s0)
     if target <= statistic(s):
         return False
-    return any(s0 in edges for _, edges in _walk(s, target))
+    return any(s0 in edges for _, _, edges in _walk(s, target))
 
 
 def twist_orbit(s: Multisegment) -> Counter:
@@ -484,10 +512,12 @@ def multisegment_to_json(s: Multisegment) -> dict:
     }
 
 
+def _segment_json(g: Segment) -> str:
+    """json.dumps(segment_to_json(g), sort_keys=True)."""
+    return '{"coset": %s, "len": %d, "line": %s, "start": %d}' % (
+        _encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start)
+
+
 def _segments_json(s: Multisegment) -> str:
     """json.dumps(multisegment_to_json(s)["segments"], sort_keys=True)."""
-    return "[" + ", ".join([
-        '{"coset": %s, "len": %d, "line": %s, "start": %d}'
-        % (_encode_str(g.coset), g.length, _encode_str(g.line.line_id), g.start)
-        for g in s.segments
-    ]) + "]"
+    return "[" + ", ".join([_segment_json(g) for g in s.segments]) + "]"

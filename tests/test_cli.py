@@ -152,6 +152,20 @@ class TestDims:
         assert status == 1
         assert capsys.readouterr().err == "error: empty multisegment has no ambient GL_n\n"
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ({"p": 3, "f": 1, "e": 2}, "\"q\" has unknown keys ['e']"),
+            ({"p": 3}, '"q" needs "p" and "f" keys'),
+            ({"f": 1}, '"q" needs "p" and "f" keys'),
+        ],
+        ids=["unknown-key", "no-f", "no-p"],
+    )
+    def test_bad_q_is_one_line_that_does_not_echo_it(self, capsys, q, message):
+        status = main(["dims", json.dumps({"multisegment": json.loads(MS_L3), "q": q})])
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
     def test_one_flag_count_per_run(self, capsys, monkeypatch):
         calls = []
         real = dims.gaussian_flag_count
@@ -799,12 +813,14 @@ class TestUnknownKeys:
             (["dims", json.dumps({"multisegment": json.loads(MS_L3),
                                   "q": {"p": 3, "f": 1, "q": 3}})], '"q"', "q"),
             (["family", _readme_with(["unit_seed"], {}), "a"], "a scenario", "unit_seed"),
+            (["family", _readme_with(["unit_seeds", "iwahorii"], 3), "a"], '"unit_seeds"',
+             "iwahorii"),
             (["family", _readme_with(["fields", 0, "n"], 1), "a"], "a field", "n"),
             (["family", _readme_with(["assignment", "a", 0, "segments", 0, "cosett"], "c1"),
               "a"], "a segment", "cosett"),
         ],
         ids=["multisegment", "segment", "line", "leq-segment", "dims", "dims-q", "scenario",
-             "scenario-field", "scenario-segment"],
+             "scenario-unit-seeds", "scenario-field", "scenario-segment"],
     )
     def test_exit_one_with_one_line(self, capsys, argv, name, key):
         status = main(argv)
@@ -1181,8 +1197,25 @@ class TestSegReportBytes:
                 ),
                 "c03aead0ff1957df4a6e0ccf38e125d0cdd9029e15d7ee400cd48016a63019ef",
             ),
+            # the largest closure-sweep shapes, fixed while seg --closure
+            # sorted its nodes through a dict keyed by (parent, child) pairs:
+            # 11 singletons (1,024 nodes), mu = 6 copies of m = 2 singletons,
+            # and mu = 2 copies of m = 6 singletons (450 nodes, 2,415 edges)
+            (
+                _seg_doc(*[("unr", "c0", i, 1) for i in range(11)]),
+                "e5a6fa53819697273ee5ca161d7409dd43232c6ee4a289c5713e31725928aae1",
+            ),
+            (
+                _seg_doc(*[("unr", "c0", i, 1) for i in range(2) for _ in range(6)]),
+                "1a0f66debdea38d470e6eac25f1491497b9e7b145f098822c6f8e69ec3397323",
+            ),
+            (
+                _seg_doc(*[("unr", "c0", i, 1) for i in range(6) for _ in range(2)]),
+                "f0e29553ddb779c93d5d4525e340910647880541726110f92534136e6dd40dc2",
+            ),
         ],
-        ids=["stacked-singletons", "two-cosets-two-lines", "nested-and-linked"],
+        ids=["stacked-singletons", "two-cosets-two-lines", "nested-and-linked",
+             "11-singletons", "6x2-stacked-singletons", "2x6-stacked-singletons"],
     )
     def test_stdout_digest(self, capsys, doc, digest):
         status = main(["seg", doc, "--closure", "--children", "--order", "--statistic"])
@@ -1372,7 +1405,8 @@ def _seg_reference(doc: str) -> str:
     def text(c):
         return json.dumps(seg.multisegment_to_json(c), sort_keys=True)
 
-    closure = seg.closure_edges(s)
+    closure = {(a, b): abc for a in seg.downward_closure(s)
+               for b, abc in seg.elementary_edges(a).items()}
     nodes = sorted({s}.union(c for _, c in closure), key=lambda c: (seg.statistic(c), text(c)))
     index = {node: k for k, node in enumerate(nodes)}
     edges = [
@@ -1834,11 +1868,20 @@ class TestLazyPackage:
     """The package imports a submodule when a name from it is first used, and
     each subcommand imports only the submodules it runs."""
 
-    def test_cli_import_loads_what_seg_and_dims_use(self):
+    def test_cli_import_loads_what_seg_uses(self):
         assert _loaded_after("import bzcalc.cli") == [
-            "bzcalc", "bzcalc.cli", "bzcalc.dimensions", "bzcalc.exceptions",
-            "bzcalc.segments",
+            "bzcalc", "bzcalc.cli", "bzcalc.exceptions", "bzcalc.segments",
         ]
+
+    def test_seg_skips_dimensions(self):
+        loaded = _loaded_after(
+            "import contextlib, io\n"
+            "from bzcalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['seg', {MS_SINGLETONS!r}, '--closure', '--children', '--order',"
+            f" '--statistic', '--leq', {MS_SINGLETONS!r}]) == 0"
+        )
+        assert loaded == ["bzcalc", "bzcalc.cli", "bzcalc.exceptions", "bzcalc.segments"]
 
     def test_seg_closure_and_dims_skip_family_and_weildeligne(self):
         dims_doc = json.dumps({"multisegment": json.loads(MS_SINGLETONS), "q": {"p": 2, "f": 1}})

@@ -270,9 +270,10 @@ class TestStatisticBound:
             top = max(map(statistic, closure))
             for bound in range(statistic(s) + 1, top + 2):
                 nodes = []
-                for node, edges in _walk(s, bound):
+                for node, stat, edges in _walk(s, bound):
                     nodes.append(node)
-                    assert edges == elementary_edges(node, max_delta=bound - statistic(node))
+                    assert stat == statistic(node)
+                    assert edges == elementary_edges(node, max_delta=bound - stat)
                 assert len(nodes) == len(set(nodes))
                 assert set(nodes) == {t for t in closure if statistic(t) < bound}, (s, bound)
 
@@ -322,9 +323,26 @@ class TestPartialOrder:
                         assert leq(a, c)
 
     def test_descending_strictly_increases_statistic(self):
-        top = ms((0, 1), (1, 1), (2, 1))
-        for (parent, child), _ in closure_edges(top).items():
-            assert statistic(child) > statistic(parent)
+        graph = closure_edges(ms((0, 1), (1, 1), (2, 1)))
+        for parent, child, _ in graph.rows:
+            assert statistic(graph.nodes[child]) > statistic(graph.nodes[parent])
+
+
+class TestClosureGraph:
+    """closure_edges against an oracle built from downward_closure and
+    elementary_edges alone."""
+
+    @pytest.mark.parametrize("m,mu", [(m, mu) for m in range(1, 8) for mu in range(1, 7 // m + 1)])
+    def test_same_nodes_statistics_and_edges(self, m, mu):
+        for s in multisegments_with_support(m, mu):
+            graph = closure_edges(s)
+            nodes = downward_closure(s)
+            assert graph.nodes[0] == s
+            assert len(graph.nodes) == len(nodes) and set(graph.nodes) == nodes
+            assert graph.stats == [statistic(t) for t in graph.nodes]
+            expected = {(t, child, abc) for t in nodes for child, abc in elementary_edges(t).items()}
+            got = [(graph.nodes[p], graph.nodes[c], abc) for p, c, abc in graph.rows]
+            assert len(got) == len(graph) == len(expected) and set(got) == expected, s
 
 
 def _support_and_ranks(s):
