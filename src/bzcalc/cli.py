@@ -6,6 +6,7 @@ model violation or failed identity check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -433,15 +434,23 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+# argparse's help formatter at the width it takes when stdout is not a
+# terminal: asking for the terminal's width would import shutil, and with it
+# bz2, lzma, zlib and fnmatch
+_HelpFormatter = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bzcalc",
         description="Exact multisegment calculus, fixed-vector dimensions, "
         "monodromy shadows, and family rigidity checks.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p = sub.add_parser("seg", help="multisegment combinatorics")
+    p = add_parser("seg", help="multisegment combinatorics")
     p.add_argument("input", help="path, '-', or inline JSON")
     p.add_argument("--order", action="store_true")
     p.add_argument("--children", action="store_true")
@@ -451,23 +460,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(handler="cmd_seg")
 
-    p = sub.add_parser("dims", help="exact fixed-vector dimensions")
+    p = add_parser("dims", help="exact fixed-vector dimensions")
     p.add_argument("input", help="path, '-', or inline JSON")
     p.add_argument("--output")
     p.set_defaults(handler="cmd_dims")
 
-    p = sub.add_parser("identity-check", help="alternating sum vs q^(n(n-1)/2)")
+    p = add_parser("identity-check", help="alternating sum vs q^(n(n-1)/2)")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--q", help="comma-separated q values (prime powers)")
     p.add_argument("--output")
     p.set_defaults(handler="cmd_identity_check")
 
-    p = sub.add_parser("wd", help="monodromy shadow and exact exp(N)")
+    p = add_parser("wd", help="monodromy shadow and exact exp(N)")
     p.add_argument("input", help="path, '-', or inline JSON")
     p.add_argument("--output")
     p.set_defaults(handler="cmd_wd")
 
-    p = sub.add_parser("family", help="run the rigidity pipeline on a scenario")
+    p = add_parser("family", help="run the rigidity pipeline on a scenario")
     p.add_argument("scenario", help="path, '-', or inline JSON")
     p.add_argument("x0", help="base point (must lie in sigma)")
     p.add_argument("--report", help="write the report here instead of stdout")
@@ -478,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler="cmd_family")
 
-    p = sub.add_parser("selftest", help="run the built-in identity battery")
+    p = add_parser("selftest", help="run the built-in identity battery")
     p.set_defaults(handler="cmd_selftest")
 
     return parser

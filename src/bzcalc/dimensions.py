@@ -131,14 +131,6 @@ class PrimePower(_Value):
         _setattr(self, "p", p)
         _setattr(self, "f", f)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.f) == (other.p, other.f)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.f))
-
     @property
     def q(self) -> int:
         return self.p**self.f
@@ -183,14 +175,6 @@ class Composition(_Value):
             read = parts if isinstance(parts, (list, tuple)) else sizes
             raise DomainError(f"composition parts must be {need}, got {read!r}")
         _setattr(self, "parts", sizes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:

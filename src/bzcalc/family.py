@@ -17,7 +17,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .exceptions import DomainError, ModelViolation
@@ -25,10 +24,12 @@ from .segments import (
     CuspidalLine,
     Multisegment,
     Segment,
+    _Value,
     _declare,
     _json_int,
     _json_keys,
     _json_typed,
+    _setattr,
     line_to_json,
     lines_from_json,
     multisegment_from_json,
@@ -46,12 +47,15 @@ UNRAMIFIED_LABEL = "unr"
 # --- finite topological sites ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteSite:
+class FiniteSite(_Value):
     """A finite topological space given by its family of closed sets."""
 
-    points: frozenset[str]
-    closed_sets: frozenset[frozenset[str]]
+    __match_args__ = ("points", "closed_sets")
+    __slots__ = (*__match_args__, "__dict__")  # __dict__: the cached property
+
+    def __init__(self, points: frozenset[str], closed_sets: frozenset[frozenset[str]]):
+        _setattr(self, "points", points)
+        _setattr(self, "closed_sets", closed_sets)
 
     @classmethod
     def of(cls, points, closed_sets) -> "FiniteSite":
@@ -111,13 +115,15 @@ def subspace(site: FiniteSite, subset: frozenset[str]) -> FiniteSite:
     )
 
 
-@dataclass(frozen=True)
-class SimulatedTrace:
+class SimulatedTrace(_Value):
     """A total integer-valued function on the site with closed fibers."""
 
-    site: FiniteSite
-    values: tuple[tuple[str, int], ...]
-    label: str
+    __slots__ = __match_args__ = ("site", "values", "label")
+
+    def __init__(self, site: FiniteSite, values: tuple[tuple[str, int], ...], label: str):
+        _setattr(self, "site", site)
+        _setattr(self, "values", values)
+        _setattr(self, "label", label)
 
     @classmethod
     def from_sigma(
@@ -446,29 +452,37 @@ def base_change_shadow(s: Multisegment) -> Multisegment:
 # --- scenarios ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyScenario:
+class FamilyScenario(_Value):
     """A finite site, a dense subset, and per-(point, field) multisegments."""
 
-    fields: tuple[PrimePower, ...]
-    site: FiniteSite
-    sigma: frozenset[str]
-    assignment: Mapping[str, tuple[Multisegment, ...]]
-    unit_seeds: Mapping[str, int]
-    declared_type_traces: Mapping[int, Mapping[str, int]] = field(
-        default_factory=dict
-    )
-    declared_ratio_valuations: Mapping[int, Mapping[str, int]] = field(
-        default_factory=dict
-    )
-    # fn(*args) by (fn, *args), and ratio_valuation's trace_log entries,
-    # filled on first use and shared by every with_seeds copy: a family
-    # repeats a few multisegments over many points, and a seed that matters
-    # is part of the key
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    __match_args__ = ("fields", "site", "sigma", "assignment", "unit_seeds",
+                      "declared_type_traces", "declared_ratio_valuations")
+    # _derived, not a field: fn(*args) by (fn, *args), and ratio_valuation's
+    # trace_log entries, filled on first use and shared by every __replace__
+    # copy (with_seeds too): a family repeats a few multisegments over many
+    # points, and a seed that matters is part of the key
+    __slots__ = (*__match_args__, "_derived", "__dict__")  # __dict__: the cached property
+
+    def __init__(self, fields: tuple[PrimePower, ...], site: FiniteSite, sigma: frozenset[str],
+                 assignment: Mapping[str, tuple[Multisegment, ...]], unit_seeds: Mapping[str, int],
+                 declared_type_traces: Mapping[int, Mapping[str, int]] | None = None,
+                 declared_ratio_valuations: Mapping[int, Mapping[str, int]] | None = None,
+                 _derived: dict | None = None):
+        _setattr(self, "fields", fields)
+        _setattr(self, "site", site)
+        _setattr(self, "sigma", sigma)
+        _setattr(self, "assignment", assignment)
+        _setattr(self, "unit_seeds", unit_seeds)
+        _setattr(self, "declared_type_traces", declared_type_traces or {})
+        _setattr(self, "declared_ratio_valuations", declared_ratio_valuations or {})
+        _setattr(self, "_derived", {} if _derived is None else _derived)
+
+    def __replace__(self, /, **changes) -> "FamilyScenario":
+        changes.setdefault("_derived", self._derived)
+        return super().__replace__(**changes)
 
     def with_seeds(self, k1: int, iwahori: int) -> "FamilyScenario":
-        return replace(self, unit_seeds={"k1": k1, "iwahori": iwahori})
+        return self.__replace__(unit_seeds={"k1": k1, "iwahori": iwahori})
 
     @cached_property
     def _trivializing_degrees(self) -> tuple[int, ...]:
@@ -529,6 +543,9 @@ def scenario_violations(sc: FamilyScenario) -> list[str]:
                 problems.append(f"declared {name} index {i} is past the last field")
             problems.extend(f"declared {name} index {i} names {x!r}, not a point of sigma"
                             for x in sorted(set(per_point) - sc.sigma))
+            if name == "type_traces":  # 1 when a twist witness exists, else 0
+                problems.extend(f"declared type_traces index {i} at {x!r} is {v}, not 0 or 1"
+                                for x, v in sorted(per_point.items()) if v not in (0, 1))
     return problems
 
 
@@ -601,16 +618,21 @@ def ratio_valuation(
 # --- the rigidity pipeline ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(_Value):
     """Outcome of the two-step pipeline around a base point."""
 
-    x0: str
-    locus: tuple[str, ...]
-    orbits: tuple[tuple[tuple[str, int, int], ...], ...]  # per field: (label, length, mult)
-    verdicts: tuple[dict, ...]
-    trace_log: tuple[dict, ...]
-    seeds: tuple[tuple[str, int], ...]
+    __slots__ = __match_args__ = ("x0", "locus", "orbits", "verdicts", "trace_log", "seeds")
+
+    def __init__(self, x0: str, locus: tuple[str, ...],
+                 orbits: tuple[tuple[tuple[str, int, int], ...], ...],
+                 verdicts: tuple[dict, ...], trace_log: tuple[dict, ...],
+                 seeds: tuple[tuple[str, int], ...]):
+        _setattr(self, "x0", x0)
+        _setattr(self, "locus", locus)
+        _setattr(self, "orbits", orbits)  # per field: (label, length, mult)
+        _setattr(self, "verdicts", verdicts)
+        _setattr(self, "trace_log", trace_log)
+        _setattr(self, "seeds", seeds)
 
     @property
     def has_violations(self) -> bool:

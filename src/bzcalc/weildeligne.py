@@ -31,14 +31,6 @@ class JordanPartition(_Value):
             raise DomainError(f"block sizes must be {need}, got {read!r}")
         _setattr(self, "blocks", tuple(sorted(sizes, reverse=True)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
     @property
     def n(self) -> int:
         return sum(self.blocks)
@@ -64,14 +56,6 @@ class WDShadow(_Value):
             )
         _setattr(self, "inertia", tuple(sorted(pairs)))
         _setattr(self, "partition", partition)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.inertia, self.partition) == (other.inertia, other.partition)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.inertia, self.partition))
 
 
 def wd_from_multisegment(s: Multisegment) -> WDShadow:

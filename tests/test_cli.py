@@ -796,6 +796,31 @@ class TestDeclaredWithoutEffect:
         ]
 
 
+class TestDeclaredTypeTraceDomain:
+    """The type trace is 1 exactly when a twist witness exists, so a declared
+    one other than 0 or 1 is rejected rather than run."""
+
+    @pytest.mark.parametrize("value", [7, -1, 2, 10**30])
+    def test_exit_one_with_one_line(self, capsys, value):
+        status = main(["family", _readme_with(["declared", "type_traces", "0", "c"], value), "a"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: invalid scenario: declared type_traces index 0 "
+                                f"at 'c' is {value}, not 0 or 1\n")
+
+    def test_every_bad_entry_in_sorted_order(self):
+        doc = json.loads(readme_scenario())
+        doc["fields"].append({"p": 2, "f": 1})
+        for x in ("a", "b", "c"):
+            doc["assignment"][x].append(doc["assignment"][x][0])
+        doc["declared"] = {"type_traces": {"1": {"c": 3, "b": 1, "a": -2}, "0": {"c": 0}}}
+        assert fam.scenario_violations(fam.scenario_from_json(doc)) == [
+            "declared type_traces index 1 at 'a' is -2, not 0 or 1",
+            "declared type_traces index 1 at 'c' is 3, not 0 or 1",
+        ]
+
+
 class TestUnknownKeys:
     """A key that no reader knows, such as a misspelling, exits 1 with one
     line that names it, instead of falling back to a default."""

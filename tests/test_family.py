@@ -1,10 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -126,7 +126,7 @@ class TestSite:
         # the site's check is cached as a tuple; scenario_violations appends
         # to a fresh list copied from it
         site = FiniteSite.of(["a", "b", "c"], [[], ["c"]])
-        sc = replace(three_point_scenario(), site=site)
+        sc = three_point_scenario().__replace__(site=site)
         assert isinstance(site.violations, tuple)
         first = scenario_violations(sc)
         assert first == list(site.violations) and "whole space is not closed" in first
@@ -690,10 +690,9 @@ class TestRatioValuation:
         "seeds, missing", [({"k1": 1}, "iwahori"), ({}, "k1")], ids=["no-iwahori", "none"]
     )
     def test_missing_unit_seed(self, seeds, missing):
-        sc = replace(
-            self._single_point([ms((0, 2)), ms((0, 3))], [PrimePower(3, 1), PrimePower(7, 1)]),
-            unit_seeds=seeds,
-        )
+        sc = self._single_point(
+            [ms((0, 2)), ms((0, 3))], [PrimePower(3, 1), PrimePower(7, 1)]
+        ).__replace__(unit_seeds=seeds)
         with pytest.raises(DomainError, match=f"^missing unit seed '{missing}'$"):
             ratio_valuation(sc, "a", 0)
 
@@ -820,7 +819,7 @@ class TestRatioValuationClosedForm:
         sc = _generated_scenario(random.Random(3), 3)
         # the last point repeats the first one's multisegments
         last = max(sc.sigma)
-        sc = replace(sc, assignment={**sc.assignment, last: sc.assignment["p0"]})
+        sc = sc.__replace__(assignment={**sc.assignment, last: sc.assignment["p0"]})
         values = {s for per_field in sc.assignment.values() for s in per_field}
         pairs = _pairs(sc)
         assert len(values) < len(pairs)
@@ -1050,7 +1049,7 @@ class TestPipelineMemo:
         assert {(sc.assignment[x], j) for x, j in looked_up} == set(k1_calls)
         assert len(k1_calls) < len(looked_up) < len(logged)
         monkeypatch.undo()
-        fresh_sc = replace(sc, _derived={})
+        fresh_sc = sc.__replace__(_derived={})
         for entry in logged:  # a repeated lookup logs what a fresh one would
             fresh = []
             real_valuation(fresh_sc, entry["point"], entry["field"], fresh)
@@ -1073,7 +1072,7 @@ class TestPipelineMemo:
         report = run_pipeline(sc, "b")
         assert report.locus == ("a", "b")
         assert k1_calls == []
-        assert report.to_json() == run_pipeline(replace(sc, _derived={}), "b").to_json()
+        assert report.to_json() == run_pipeline(sc.__replace__(_derived={}), "b").to_json()
 
     def test_with_seeds_copy_recomputes(self, monkeypatch):
         """A copy shares sc._derived, but its seeds are part of the key."""
@@ -1092,7 +1091,7 @@ class TestPipelineMemo:
         # a, b and c at slot 0, each over q' and q''
         assert k1_calls == [5] * 6
         assert report.trace_log != first.trace_log
-        assert report.to_json() == run_pipeline(replace(copy, _derived={}), "a").to_json()
+        assert report.to_json() == run_pipeline(copy.__replace__(_derived={}), "a").to_json()
 
     def test_replace_copy_with_another_degree_gets_its_own_entry(self):
         """Point b of a copy holds a segment on a block-2 line, so slot 0's
@@ -1108,12 +1107,12 @@ class TestPipelineMemo:
         log = []
         ratio_valuation(sc, "a", 0, log)
         block_two = Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 1)])
-        copy = replace(sc, assignment={**sc.assignment, "b": (block_two,)})
+        copy = sc.__replace__(assignment={**sc.assignment, "b": (block_two,)})
         assert copy._derived is sc._derived
         assert (sc._trivializing_degrees, copy._trivializing_degrees) == ((1,), (2,))
         copy_log, fresh_log = [], []
         ratio_valuation(copy, "a", 0, copy_log)
-        ratio_valuation(replace(copy, _derived={}), "a", 0, fresh_log)
+        ratio_valuation(copy.__replace__(_derived={}), "a", 0, fresh_log)
         assert copy_log == fresh_log
         assert copy_log[0]["q_prime"] == {"p": 3, "f": 2}
         assert log[0]["q_prime"] == {"p": 3, "f": 1}
@@ -1222,14 +1221,14 @@ class TestVerdictBodies:
             unit_seeds={"k1": 17, "iwahori": 5},
             declared_type_traces={0: {"b": 0}},
         )
-        alone = {x: family._certify_point(replace(sc, _derived={}), "a", x, []) for x in "bc"}
+        alone = {x: family._certify_point(sc.__replace__(_derived={}), "a", x, []) for x in "bc"}
         assert [c["reason"] for x in "bc" for c in alone[x]["certificates"]] == [
             "declared type trace disagrees with the one computed from the assignment",
             "comparable point with equal valuation but a different twist orbit; "
             "contradicts strict statistic monotonicity",
         ]
         for order in ("bc", "cb"):
-            fresh = replace(sc, _derived={})
+            fresh = sc.__replace__(_derived={})
             assert {x: family._certify_point(fresh, "a", x, []) for x in order} == alone
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1262,3 +1261,80 @@ class TestScenarioJson:
         doc["assignment"].pop("c")
         problems = scenario_violations(scenario_from_json(doc))
         assert any("assignment keys" in p for p in problems)
+
+
+def _topologies(points):
+    """Every topology on points, as its family of closed sets: each family
+    of subsets that holds the empty set and the whole space and is closed
+    under union and intersection."""
+    subsets = [frozenset(c) for k in range(len(points) + 1)
+               for c in itertools.combinations(points, k)]
+    whole = frozenset(points)
+    inner = [c for c in subsets if c and c != whole]
+    for k in range(len(inner) + 1):
+        for chosen in itertools.combinations(inner, k):
+            closed = {frozenset(), whole, *chosen}
+            if all(a | b in closed and a & b in closed for a in closed for b in closed):
+                yield closed
+
+
+# Six multisegments of size 2: a segment, one twist of it, linked, stacked
+# and unlinked singletons, and one segment on a ramified block-2 line.
+_RIGIDITY_POOL = (
+    ms((0, 2)),
+    ms((1, 2)),
+    ms((0, 1), (1, 1)),
+    ms((0, 1), (0, 1)),
+    ms((0, 1), (2, 1)),
+    Multisegment([Segment(CuspidalLine("A", 2, "ram"), "c0", 0, 1)]),
+)
+
+
+class TestRigidityStatement:
+    """The paper's rigidity statement, in this model: with nothing declared,
+    every point that survives both steps is certified as a twist of the base
+    point, since a witness s0' <= s with equal weighted statistic must equal
+    s.  Checked over every topology on 1-3 points, every dense sigma, every
+    base point in sigma and every one-slot assignment from _RIGIDITY_POOL.
+
+    A ModelViolation is allowed: an honest assignment can have no trace with
+    closed fibers, or a fiber that is not clopen.  The non-integral
+    ratio_valuation branch cannot be reached: _k1_unit always returns a
+    unit, so v_p of both units is 0.  That branch has its own monkeypatched
+    test."""
+
+    def test_no_honest_scenario_yields_a_violation_verdict(self):
+        counts = Counter()
+        allowed = {"overlapping value-class closures",
+                   "value-class closures do not cover the space",
+                   "fiber of the fiber is not closed",
+                   "complement of the fiber is not closed"}
+        for n in (1, 2, 3):
+            points = "abc"[:n]
+            for closed in _topologies(points):
+                counts["topologies"] += 1
+                site = FiniteSite.of(points, closed)
+                for k in range(1, n + 1):
+                    for sigma in map(frozenset, itertools.combinations(points, k)):
+                        if not is_dense(site, sigma):
+                            continue
+                        names = sorted(sigma)
+                        for chosen in itertools.product(_RIGIDITY_POOL, repeat=k):
+                            sc = FamilyScenario(
+                                fields=(PrimePower(3, 1),), site=site, sigma=sigma,
+                                assignment={x: (s,) for x, s in zip(names, chosen)},
+                                unit_seeds={"k1": 1, "iwahori": 2},
+                            )
+                            for x0 in names:
+                                try:
+                                    report = run_pipeline(sc, x0)
+                                except ModelViolation as exc:
+                                    assert exc.certificate["reason"] in allowed
+                                    counts["model violations"] += 1
+                                    continue
+                                statuses = [v["status"] for v in report.verdicts]
+                                assert statuses == ["certified"] * len(statuses), (
+                                    points, sorted(map(sorted, closed)), names, chosen, x0)
+                                counts["reports"] += 1
+        assert counts["topologies"] == 1 + 4 + 29
+        assert counts["reports"] > 0 and counts["model violations"] > 0

@@ -1,5 +1,6 @@
-"""The seven value classes, which behave as frozen dataclasses without being
-ones, and the cold start of the CLI, which never imports dataclasses."""
+"""The eleven value classes, which behave as frozen dataclasses without being
+ones, and the cold start of the CLI and of a family run, which never import
+dataclasses."""
 import copy
 import dataclasses
 import json
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from bzcalc.dimensions import Composition, PrimePower
+from bzcalc.family import FamilyScenario, FiniteSite, RigidityReport, SimulatedTrace
 from bzcalc.segments import CuspidalLine, Multisegment, Segment
 from bzcalc.weildeligne import JordanPartition, WDShadow
+from conftest import readme_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,6 +25,31 @@ UNR_REPR = "CuspidalLine(line_id='unr', block_size=1, inertial_label='unr')"
 
 def _segment(start, length):
     return Segment(CuspidalLine("unr"), "c0", start, length)
+
+
+def _site(point="a"):
+    """A site with one closed set, so that no repr follows the hash seed."""
+    return FiniteSite(frozenset({point}), frozenset({frozenset({"a"})}))
+
+
+SITE_REPR = "FiniteSite(points=frozenset({'a'}), closed_sets=frozenset({frozenset({'a'})}))"
+
+
+def _scenario(k1=1, iwahori=2, derived=None):
+    return FamilyScenario((PrimePower(3, 1),), _site(), frozenset({"a"}),
+                          {"a": (Multisegment([_segment(0, 2)]),)},
+                          {"k1": k1, "iwahori": iwahori}, _derived=derived)
+
+
+def _report(x0="a"):
+    return RigidityReport(x0, ("a",), ((("unr", 2, 1),),),
+                          ({"point": "a", "status": "certified"},), (),
+                          (("iwahori", 2), ("k1", 1)))
+
+
+# Their fields hold dicts, so hashing one raises TypeError, as it did when
+# they were dataclasses.
+UNHASHABLE = ("FamilyScenario", "RigidityReport")
 
 
 # name -> (build a value afresh, its repr, its fields, a change,
@@ -77,7 +105,51 @@ CASES = {
         {"partition": JordanPartition([2, 2])},
         lambda: WDShadow(inertia=[("unr", 4)], partition=JordanPartition([2, 2])),
     ),
+    # the family classes' texts are those of the dataclasses they were
+    "FiniteSite": (
+        _site,
+        SITE_REPR,
+        ("points", "closed_sets"),
+        {"points": frozenset({"b"})},
+        lambda: _site("b"),
+    ),
+    "SimulatedTrace": (
+        lambda: SimulatedTrace(_site(), (("a", 1),), "t"),
+        f"SimulatedTrace(site={SITE_REPR}, values=(('a', 1),), label='t')",
+        ("site", "values", "label"),
+        {"label": "u"},
+        lambda: SimulatedTrace(site=_site(), values=(("a", 1),), label="u"),
+    ),
+    "FamilyScenario": (
+        _scenario,
+        f"FamilyScenario(fields=(PrimePower(p=3, f=1),), site={SITE_REPR}, "
+        f"sigma=frozenset({{'a'}}), assignment={{'a': (Multisegment(segments=(Segment("
+        f"line={UNR_REPR}, coset='c0', start=0, length=2),)),)}}, "
+        "unit_seeds={'k1': 1, 'iwahori': 2}, declared_type_traces={}, "
+        "declared_ratio_valuations={})",
+        ("fields", "site", "sigma", "assignment", "unit_seeds", "declared_type_traces",
+         "declared_ratio_valuations"),
+        {"unit_seeds": {"k1": 5, "iwahori": 6}},
+        lambda: _scenario(5, 6),
+    ),
+    "RigidityReport": (
+        _report,
+        "RigidityReport(x0='a', locus=('a',), orbits=((('unr', 2, 1),),), "
+        "verdicts=({'point': 'a', 'status': 'certified'},), trace_log=(), "
+        "seeds=(('iwahori', 2), ('k1', 1)))",
+        ("x0", "locus", "orbits", "verdicts", "trace_log", "seeds"),
+        {"x0": "b"},
+        lambda: _report("b"),
+    ),
 }
+
+
+def _assert_same(value, other):
+    """Equal, and with equal hashes where the class hashes at all."""
+    assert type(other) is type(value)
+    assert other == value
+    if type(value).__name__ not in UNHASHABLE:
+        assert hash(other) == hash(value)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -88,8 +160,9 @@ class TestValueContract:
         build, _, _, _, build_changed = CASES[name]
         value, fresh = build(), build()
         assert value is not fresh
-        assert value == fresh and hash(value) == hash(fresh)
-        assert {value: 1}[fresh] == 1
+        _assert_same(value, fresh)
+        if name not in UNHASHABLE:
+            assert {value: 1}[fresh] == 1
         assert value != build_changed()
         assert value != tuple(getattr(value, f) for f in value.__match_args__)
 
@@ -100,8 +173,7 @@ class TestValueContract:
     def test_pickle_and_copy_round_trip(self, name):
         value = CASES[name][0]()
         for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-            assert type(clone) is type(value)
-            assert clone == value and hash(clone) == hash(value)
+            _assert_same(value, clone)
 
     def test_setting_or_deleting_raises(self, name):
         build, _, fields, _, _ = CASES[name]
@@ -124,11 +196,59 @@ class TestValueContract:
         if sys.version_info >= (3, 13):
             replacers.append(lambda **kw: copy.replace(value, **kw))
         for replace in replacers:
-            changed = replace(**change)
-            assert changed == fresh and hash(changed) == hash(fresh)
-            assert replace() == value and hash(replace()) == hash(value)
+            _assert_same(fresh, replace(**change))
+            _assert_same(value, replace())
         with pytest.raises(TypeError):
             value.__replace__(no_such_field=1)
+
+
+@pytest.mark.parametrize("name", UNHASHABLE)
+def test_a_value_holding_a_dict_is_unhashable(name):
+    value = CASES[name][0]()
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(value)
+    with pytest.raises(TypeError):
+        {value}
+
+
+class TestScenarioMemo:
+    """FamilyScenario._derived, the memo of derived values, is no field: it
+    stays out of equality, repr and __match_args__, __replace__ shares it
+    unless one is passed, and a pickle or copy starts with an empty one."""
+
+    def test_not_a_field(self):
+        sc, fresh = _scenario(), _scenario()
+        sc._derived["key"] = "value"
+        assert sc == fresh and repr(sc) == repr(fresh)
+        assert "_derived" not in FamilyScenario.__match_args__
+
+    def test_replace_and_with_seeds_share_it(self):
+        sc = _scenario()
+        for copy_ in (sc.__replace__(), sc.__replace__(unit_seeds={}), sc.with_seeds(5, 6)):
+            assert copy_._derived is sc._derived
+        assert sc.with_seeds(5, 6) == _scenario(5, 6)
+
+    def test_passed_one_is_kept(self):
+        mine = {}
+        assert _scenario(derived=mine)._derived is mine
+        assert _scenario().__replace__(_derived=mine)._derived is mine
+
+    def test_pickle_and_copy_start_empty(self):
+        sc = _scenario()
+        sc._derived["key"] = "value"
+        for clone in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
+            assert clone == sc and clone._derived == {}
+
+
+def _bare_python(code):
+    """The JSON that code prints, run in an interpreter without site."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, env=env, timeout=60, check=True,
+    ).stdout
+    return json.loads(out)
 
 
 # Which of these modules `import bzcalc.cli` loads, and then which of them
@@ -159,31 +279,30 @@ print(json.dumps(report))
 
 
 def test_cold_start_loads_no_dataclasses():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", _COLD_START],
-        capture_output=True, env=env, timeout=60, check=True,
-    ).stdout
-    assert json.loads(out) == {"import": [], "statuses": [0] * 5, "dataclasses_after_runs": False}
+    assert _bare_python(_COLD_START) == {
+        "import": [], "statuses": [0] * 5, "dataclasses_after_runs": False}
 
 
-# What a family run loads on top of `import bzcalc.cli`: dataclasses and
-# what it imports, but not typing.
+# Which of these modules a family run loads: on a small scenario that
+# certifies, and on the README scenario, which ends in a violation.
+_FAMILY_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "shutil")
+
 _FAMILY_COLD_START = """
 import io, json, sys
+heavy, docs = %r, %r
 import bzcalc.cli
-sys.stdout = io.StringIO()
-try:
-    status = bzcalc.cli.main(["family", %r, "a", "--seeds", "2"])
-finally:
-    sys.stdout = sys.__stdout__
-print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
-                  "typing": "typing" in sys.modules}))
+statuses = []
+for doc in docs:
+    sys.stdout = io.StringIO()
+    try:
+        statuses.append(bzcalc.cli.main(["family", doc, "a", "--seeds", "2"]))
+    finally:
+        sys.stdout = sys.__stdout__
+print(json.dumps({"statuses": statuses, "loaded": sorted(m for m in heavy if m in sys.modules)}))
 """
 
 
-def test_family_loads_no_typing():
+def test_family_loads_no_heavy_module():
     doc = json.dumps({
         "fields": [{"p": 3, "f": 1}],
         "points": ["a", "b"],
@@ -194,10 +313,21 @@ def test_family_loads_no_typing():
                                            for i in range(2)]}]},
         "unit_seeds": {"k1": 17, "iwahori": 5},
     })
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", _FAMILY_COLD_START % doc],
-        capture_output=True, env=env, timeout=60, check=True,
-    ).stdout
-    assert json.loads(out) == {"status": 0, "dataclasses": True, "typing": False}
+    code = _FAMILY_COLD_START % (_FAMILY_HEAVY, [doc, readme_scenario()])
+    assert _bare_python(code) == {"statuses": [0, 2], "loaded": []}
+
+
+# argparse asks shutil for the terminal's width unless it is given one, and
+# shutil imports bz2, lzma, zlib and fnmatch.
+_BUILD_PARSER = """
+import json, sys
+import bzcalc.cli
+loaded = lambda: sorted(m for m in ("shutil", "bz2") if m in sys.modules)
+before = loaded()
+bzcalc.cli.build_parser()
+print(json.dumps({"before": before, "after": loaded()}))
+"""
+
+
+def test_build_parser_loads_no_shutil():
+    assert _bare_python(_BUILD_PARSER) == {"before": [], "after": []}
